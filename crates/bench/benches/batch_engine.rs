@@ -1,5 +1,5 @@
 //! Bench E17: the batch-verification engine — worker-pool scaling and
-//! memo-cache effectiveness on a synthetic corpus of repeated jobs.
+//! verdict-cache effectiveness on a synthetic corpus of repeated jobs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nqpv_bench::sample_corpus;

@@ -1,6 +1,6 @@
 //! Bench E12b: primal (projected-supergradient witness search) vs dual
 //! (exponentiated-gradient certificate) components of the `⊑_inf` solver —
-//! the ablation of DESIGN.md's SDP-replacement decision.
+//! the ablation of replacing the paper's SDP solver with these two.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nqpv_bench::{holding_instance, violated_instance};

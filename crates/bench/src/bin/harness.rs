@@ -1,9 +1,7 @@
 //! `harness` — regenerates every experiment of the paper's evaluation in
-//! one run and prints the tables recorded in EXPERIMENTS.md.
+//! one run and prints their tables as Markdown.
 //!
 //! Usage: `cargo run --release -p nqpv-bench --bin harness [max_grover_qubits]`
-//!
-//! The experiment ids (E1..E12) follow DESIGN.md §3.
 
 use nqpv_bench::{holding_instance, violated_instance};
 use nqpv_core::casestudies::{
@@ -284,13 +282,13 @@ fn main() {
     }
 
     // ------------------------------------------------------------------ E17
-    println!("\n## E17: batch-verification engine (corpus, worker pool, memo cache)\n");
+    println!("\n## E17: batch-verification engine (corpus, worker pool, verdict cache)\n");
     // Prefer the shipped on-disk corpus; fall back to the in-memory one.
     let corpus_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
     let corpus =
         nqpv_engine::Corpus::from_dir(&corpus_dir).unwrap_or_else(|_| nqpv_bench::sample_corpus(4));
-    println!("| workers | cache | verified | rejected | errors | hit rate | verdict hits | verdict rate | evictions | wall time |");
-    println!("|---------|-------|----------|----------|--------|----------|--------------|--------------|-----------|-----------|");
+    println!("| workers | cache | verified | rejected | errors | verdict hits | verdict rate | evictions | wall time |");
+    println!("|---------|-------|----------|----------|--------|--------------|--------------|-----------|-----------|");
     // The `off` rows double as the solver-verdict-cache ablation: with the
     // cache disabled every repeated ⊑_inf query re-runs the solver. The
     // `cap=1` row exercises the LRU bound (`nqpv batch --cache-cap 1`).
@@ -317,16 +315,12 @@ fn main() {
             (true, Some(cap)) => format!("cap={cap}"),
         };
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
             report.workers,
             cache_label,
             report.verified_jobs(),
             report.rejected_jobs(),
             report.errored_jobs(),
-            report
-                .cache
-                .map(|c| format!("{:.1}%", c.hit_rate() * 100.0))
-                .unwrap_or_else(|| "-".into()),
             report
                 .cache
                 .map(|c| c.verdict_hits.to_string())
@@ -337,7 +331,7 @@ fn main() {
                 .unwrap_or_else(|| "-".into()),
             report
                 .cache
-                .map(|c| format!("{}", c.evictions + c.verdict_evictions))
+                .map(|c| c.verdict_evictions.to_string())
                 .unwrap_or_else(|| "-".into()),
             report.total_ms
         );

@@ -52,7 +52,7 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] [--no-screen] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--no-bin]\n             [--explain] [--trace DIR] [--flight-dir DIR]\n             [--job-timeout SECS] [--kernel-threads N] [--no-screen]\n             [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--no-screen] [--sample-secs N]\n             [--slo-ms N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|series|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv top ADDR [--once] [--interval SECS]   live terminal dashboard\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --no-screen    disable the f32 Löwner screening tier (ablation;\n                 verdicts are identical either way, only slower)\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared wp memo cache\n  --cache-cap N  bound each cache tier to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --no-bin       disable verdict-cache affinity scheduling\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness and /series ring dump)\n  --sample-secs N\n                 metrics time-series sampling interval for the in-daemon\n                 ring (default 5)\n  --slo-ms N     per-job latency objective: track jobs within/over N ms\n                 and an error-budget burn-rate gauge (99% objective)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --once         (top) render one dashboard frame and exit\n  --interval SECS\n                 (top) seconds between dashboard refreshes (default 2)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
+        "usage:\n  nqpv verify [--infer] FILE.nqpv\n  nqpv explain [--infer] [--json] [--trace DIR] [--profile-out FILE]\n              [--kernel-threads N] [--no-screen] FILE.nqpv\n  nqpv show [--infer] FILE.nqpv NAME\n  nqpv check FILE.nqpv\n  nqpv batch [--infer] [--jobs N] [--json] [--no-cache] [--cache-cap N]\n             [--cache-dir DIR] [--cache-max-bytes N] [--no-bin]\n             [--explain] [--trace DIR] [--flight-dir DIR]\n             [--job-timeout SECS] [--kernel-threads N] [--no-screen]\n             [--profile-out FILE] DIR|MANIFEST\n  nqpv serve --addr HOST:PORT [--infer] [--jobs N] [--no-cache]\n             [--cache-cap N] [--cache-dir DIR] [--cache-max-bytes N]\n             [--max-queue N] [--max-per-client N] [--job-timeout SECS]\n             [--drain-timeout SECS] [--explain] [--metrics-addr HOST:PORT]\n             [--flight-dir DIR] [--log-level LVL] [--log-json]\n             [--kernel-threads N] [--no-screen] [--sample-secs N]\n             [--slo-ms N] [--trace-store N]\n  nqpv client ADDR submit [--priority N] [--trace-out DIR] PATH…\n                                                 submit + stream verdicts\n  nqpv client ADDR watch                         stream every job event\n  nqpv client ADDR stats|ping|series|profile\n  nqpv client ADDR shutdown [--drain]\n  nqpv top ADDR [--once] [--interval SECS]   live terminal dashboard\n  nqpv ops\n\n  --infer        attempt wlp-fixpoint invariant inference for\n                 while loops lacking an inv: annotation\n  --jobs N       worker threads (default: available cores)\n  --kernel-threads N\n                 data-parallel threads *inside* each job's linalg\n                 kernels (default: 1, or NQPV_KERNEL_THREADS); results\n                 are bitwise identical for every value\n  --no-screen    disable the f32 Löwner screening tier (ablation;\n                 verdicts are identical either way, only slower)\n  --json         print the report as JSON instead of a summary\n  --no-cache     disable the shared solver verdict cache\n  --cache-cap N  bound the verdict cache to N entries (LRU eviction;\n                 eviction counts appear in the report)\n  --cache-dir D  persist solver verdicts under D (survives restarts,\n                 shared between batch runs and the daemon)\n  --cache-max-bytes N\n                 size budget for the verdict store under --cache-dir:\n                 oldest records are evicted to stay under N bytes\n  --no-bin       disable verdict-cache affinity scheduling\n  --explain      extract a counterexample (witness state, scheduler\n                 trace, expectation trajectory) for every rejected proof\n  --trace DIR    write one Chrome trace-event JSON per job under DIR\n                 (open in chrome://tracing or Perfetto)\n  --trace-out DIR\n                 (client submit) mint a wire trace id, propagate it to\n                 the daemon, and write one *stitched* Chrome trace per\n                 job under DIR combining the client's submit/wait spans\n                 with the daemon's queue/worker spans\n  --flight-dir DIR\n                 write flight-recorder snapshots (recent span/log\n                 events as JSON) under DIR on panics, timeouts and\n                 error verdicts — and on 'dump_flight' requests\n  --log-level LVL\n                 daemon stderr log threshold: error|warn|info|debug\n                 (default info)\n  --log-json     emit daemon logs as JSON lines instead of plain text\n  --job-timeout SECS\n                 per-job verification deadline: a job still unverified\n                 after SECS is stopped cooperatively and reported with\n                 a 'timeout' verdict\n  --max-queue N  refuse submissions once N jobs are queued (daemon\n                 backpressure; structured 'overloaded' reply)\n  --max-per-client N\n                 bound one connection's queued+running jobs to N\n                 (client-scoped 'overloaded' reply)\n  --drain-timeout SECS\n                 bound on 'shutdown --drain' backlog completion\n                 (default 30)\n  --metrics-addr HOST:PORT\n                 serve Prometheus text metrics at http://HOST:PORT/metrics\n                 (plus /healthz readiness and /series ring dump)\n  --sample-secs N\n                 metrics time-series sampling interval for the in-daemon\n                 ring (default 5)\n  --slo-ms N     per-job latency objective: track jobs within/over N ms\n                 and an error-budget burn-rate gauge (99% objective)\n  --trace-store N\n                 finished-trace FIFO capacity for wire-trace stitching\n                 (default 256; evictions are counted)\n  --profile-out FILE\n                 write a collapsed-stack self-time profile (folded\n                 flamegraph text: 'stack;frames count-in-us' lines)\n  --once         (top) render one dashboard frame and exit\n  --interval SECS\n                 (top) seconds between dashboard refreshes (default 2)\n  --priority N   scheduling priority for submitted jobs (higher first)\n  --drain        (client shutdown) finish the whole backlog before the\n                 daemon stops, instead of dropping queued jobs\n\nenvironment:\n  NQPV_FAULTS=<seed>:<site>[*<cap>],…\n                 arm the deterministic fault-injection harness (sites:\n                 worker_panic, solver_delay, disk_read, disk_write,\n                 conn_drop); inert when unset\n  NQPV_KERNEL_THREADS=N\n                 default kernel thread count when --kernel-threads\n                 is not given"
     );
     ExitCode::from(2)
 }
@@ -295,7 +295,7 @@ fn positive_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usi
 /// [--cache-dir DIR] [--no-bin] DIR|MANIFEST` — load a corpus (directory
 /// of `.nqpv` files, or a manifest listing them) and verify it on a
 /// worker pool with a shared (optionally LRU-bounded, optionally
-/// disk-persistent) wp memo cache and verdict-affinity scheduling.
+/// disk-persistent) verdict cache and verdict-affinity scheduling.
 fn cmd_batch(rest: &[String], infer: bool) -> ExitCode {
     let mut jobs: usize = 0;
     let mut json = false;
@@ -906,8 +906,6 @@ enum TopValue {
         delta: u64,
         per_sec: f64,
     },
-    #[allow(dead_code)]
-    Gauge(i64),
     Hist {
         bounds: Vec<f64>,
         deltas: Vec<u64>,
@@ -951,7 +949,6 @@ fn parse_series(text: &str) -> Vec<TopSample> {
                     delta: p.get("delta").and_then(Json::as_u64).unwrap_or(0),
                     per_sec: p.get("per_sec").and_then(Json::as_f64).unwrap_or(0.0),
                 },
-                "gauge" => TopValue::Gauge(p.get("value").and_then(Json::as_i64).unwrap_or(0)),
                 "hist" => TopValue::Hist {
                     bounds: p
                         .get("bounds")
@@ -965,6 +962,7 @@ fn parse_series(text: &str) -> Vec<TopSample> {
                         .unwrap_or_default(),
                     sum: p.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
                 },
+                // Gauges are not charted; unknown kinds are skipped.
                 _ => continue,
             };
             points.push(TopPoint {
@@ -1169,8 +1167,7 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
                 }
             };
             out.push_str(&format!(
-                "cache     transformer {} hit  verdict {}  disk {}\n",
-                ratio(c.hits, c.misses),
+                "cache     verdict {} hit  disk {}\n",
                 ratio(c.verdict_hits, c.verdict_misses),
                 ratio(c.disk_hits, c.disk_misses)
             ));

@@ -208,7 +208,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Mutex;
 
-        /// Minimal verdict-tier cache double (the full concurrent
+        /// Minimal verdict cache double (the full concurrent
         /// implementation lives in `nqpv-engine`).
         #[derive(Default)]
         struct VerdictStore {
@@ -217,10 +217,6 @@ mod tests {
         }
 
         impl TransformerCache for VerdictStore {
-            fn get(&self, _key: CacheKey) -> Option<crate::transformer::Annotated> {
-                None
-            }
-            fn put(&self, _key: CacheKey, _value: &crate::transformer::Annotated) {}
             fn get_verdict(&self, key: CacheKey) -> Option<Verdict> {
                 let found = self.verdicts.lock().unwrap().get(&key).cloned();
                 if found.is_some() {

@@ -55,9 +55,9 @@ pub struct Factor {
 
 impl Clone for Factor {
     fn clone(&self) -> Self {
-        // The dense and canonical caches are intentionally dropped: clones
-        // travel through the memo cache, and both forms are rebuilt
-        // deterministically (hence bit-identically) on demand.
+        // The dense and canonical caches are intentionally dropped: both
+        // forms are rebuilt deterministically (hence bit-identically) on
+        // demand.
         Factor {
             v: self.v.clone(),
             dense: OnceLock::new(),

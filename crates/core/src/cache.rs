@@ -1,63 +1,44 @@
-//! Memoisation hook for the backward weakest-precondition transformer.
+//! Memoisation hook for solver verdicts.
 //!
-//! Corpus-level drivers (the `nqpv-engine` batch engine) repeatedly verify
-//! programs that share subterms — the same Grover iteration, the same QEC
-//! syndrome block, byte-identical files. The backward pass is compositional
-//! (`wlp.(S1;S2).Ψ = wlp.S1.(wlp.S2.Ψ)`), so the annotated result of any
-//! subterm is fully determined by
-//!
-//! * the subterm's structure with every operator name resolved to its
-//!   concrete matrix,
-//! * the postcondition assertion it is pushed through,
-//! * the register layout, and
-//! * the verification options (mode, set bound, solver tolerances).
-//!
+//! Corpus-level drivers (the `nqpv-engine` batch engine, the daemon)
+//! repeatedly decide the same `⊑_inf`/`⊑_sup` queries — the same loop
+//! invariant check, the same final precondition comparison,
+//! byte-identical files. A verdict is fully determined by the operator
+//! content of both assertion sides and the solver options, so
 //! [`TransformerCache`] abstracts a content-addressed store over exactly
-//! that key. `nqpv-core` stays dependency-free: it only *consults* a cache
-//! handed in by the caller (see [`crate::backward_with_cache`]); the
-//! concurrent implementation with hit/miss accounting lives in
-//! `nqpv-engine`.
+//! that key ([`verdict_key`]). `nqpv-core` stays dependency-free: it only
+//! *consults* a cache handed in by the caller (see
+//! [`crate::backward_with_cache`]); the concurrent implementation with
+//! hit/miss accounting and its disk layer live in `nqpv-engine`.
 //!
-//! Correctness note: results for subterms containing `while` are only
-//! cached in partial-correctness mode — in total mode loop verification
-//! additionally depends on externally supplied ranking certificates keyed
-//! by loop id, which are not part of the cache key.
+//! The backward transformer itself is not memoised: keying a subterm by
+//! its resolved operator matrices cost more than recomputing it.
 
-use crate::transformer::Annotated;
 use nqpv_solver::{LownerOptions, Verdict, Violation};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 
-/// Content hash identifying a `(subterm, postcondition, context)` triple.
+/// Content hash identifying a solver query (see [`verdict_key`]).
 ///
 /// 128 bits assembled from two independently seeded 64-bit hashers, so
 /// accidental collisions across a corpus run are negligible.
 pub type CacheKey = u128;
 
-/// A memo store for annotated backward-pass results.
+/// A memo store for solver verdicts, handed to the verifier entry points
+/// that take a cache.
 ///
 /// Implementations must be thread-safe: the batch engine shares one cache
-/// across its whole worker pool. `get` returning a clone (rather than a
-/// reference) keeps the trait object-safe and lock scopes small.
+/// across its whole worker pool. Lookups return a clone (rather than a
+/// reference), which keeps the trait object-safe and lock scopes small.
 pub trait TransformerCache: Send + Sync {
-    /// Looks up the annotated result for `key`, cloning on hit.
-    fn get(&self, key: CacheKey) -> Option<Annotated>;
-
-    /// Stores the annotated result computed for `key`.
-    fn put(&self, key: CacheKey, value: &Annotated);
-
-    /// Looks up a memoised `⊑_inf`/`⊑_sup` solver verdict for `key` — the
-    /// second cache tier. Keys are content hashes of `(Θ, Ψ, ε/options)`
+    /// Looks up a memoised `⊑_inf`/`⊑_sup` solver verdict for `key`.
+    /// Keys are content hashes of `(Θ, Ψ, ε/options)`
     /// (see [`verdict_key`]), so verdicts are shared across programs,
     /// registers and batch jobs whenever the same operator sets recur.
-    /// The default implementation caches nothing.
-    fn get_verdict(&self, _key: CacheKey) -> Option<Verdict> {
-        None
-    }
+    fn get_verdict(&self, key: CacheKey) -> Option<Verdict>;
 
-    /// Stores a solver verdict for `key`. The default implementation
-    /// drops it.
-    fn put_verdict(&self, _key: CacheKey, _verdict: &Verdict) {}
+    /// Stores a solver verdict for `key`.
+    fn put_verdict(&self, key: CacheKey, verdict: &Verdict);
 }
 
 /// Content key of a `⊑_inf`/`⊑_sup` query: the operator content of both
@@ -306,27 +287,6 @@ impl KeyHasher {
             // fingerprint quantiser elsewhere in the stack.
             self.write_u64(((z.re * scale).round() + 0.0).to_bits());
             self.write_u64(((z.im * scale).round() + 0.0).to_bits());
-        }
-    }
-
-    /// Exact-bits hash of a predicate: dense matrices and factored forms
-    /// hash their own representation (under distinct tags), so no dense
-    /// materialisation happens on the key path. Different factorings of
-    /// the same operator hash apart — that only costs cache hits, never
-    /// correctness, and the pipeline is deterministic so byte-identical
-    /// jobs reproduce byte-identical factors. The **transformer tier**
-    /// uses this exact form; the verdict tier canonicalises factors
-    /// instead (see [`KeyHasher::write_predicate_canonical`]).
-    pub(crate) fn write_predicate(&mut self, p: &crate::assertion::Predicate) {
-        match p {
-            crate::assertion::Predicate::Dense(m) => {
-                self.write_u8(0xD0);
-                self.write_matrix(m);
-            }
-            crate::assertion::Predicate::Factored(f) => {
-                self.write_u8(0xF0);
-                self.write_matrix(f.v());
-            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! sequence decreasing to `0`, and (3) `P¹∘η₁†(R_i^{η→}) ⊑ R_{i+1}^η`.
 //! The checker accepts the *uniform, finitely-presented* form
 //! [`RankingCertificate`]: an explicit prefix plus a geometric tail,
-//! which instantiates the definition (see DESIGN.md).
+//! which instantiates the definition.
 
 use crate::assertion::Assertion;
 use crate::error::VerifError;

@@ -136,9 +136,9 @@ impl Session {
         self
     }
 
-    /// Shares a memo cache for backward-transformer subterm results;
-    /// batch drivers hand the same `Arc` to every session so repeated
-    /// subterms across a corpus are computed once.
+    /// Shares a solver verdict cache; batch drivers hand the same `Arc`
+    /// to every session so repeated `⊑_inf` queries across a corpus are
+    /// decided once.
     pub fn with_cache(mut self, cache: Arc<dyn TransformerCache>) -> Self {
         self.cache = Some(cache);
         self

@@ -10,7 +10,7 @@
 //! require a [`RankingCertificate`] discharging Definition 4.3.
 
 use crate::assertion::Assertion;
-use crate::cache::{CacheKey, KeyHasher, TransformerCache};
+use crate::cache::TransformerCache;
 use crate::error::VerifError;
 pub use crate::ranking::RankingCertificate;
 use nqpv_lang::{AssertionExpr, Stmt};
@@ -50,11 +50,9 @@ pub struct VcOptions {
     pub factor_assertions: bool,
     /// Telemetry handle: the backward pass records one `wp` span per
     /// statement visit (with statement path, predicate rank and local
-    /// footprint), plus cache-tier lookup spans, into it. Set it with
-    /// [`VcOptions::with_tracer`] so the solver's copy
-    /// ([`LownerOptions::tracer`]) stays in sync. Inert by default;
-    /// deliberately **excluded** from [`context_key`] — which job traced
-    /// a subterm must never partition the memo caches.
+    /// footprint) into it. Set it with [`VcOptions::with_tracer`] so the
+    /// solver's copy ([`LownerOptions::tracer`]) stays in sync. Inert by
+    /// default.
     pub tracer: Tracer,
     /// Cooperative job deadline, checked at every statement entry of the
     /// backward pass (yielding [`VerifError::Timeout`] with the
@@ -62,8 +60,8 @@ pub struct VcOptions {
     /// on [`LownerOptions::deadline`]. Set it with
     /// [`VcOptions::with_deadline`] so the two copies stay in sync.
     /// Never expires by default; like the tracer, it renders a constant
-    /// `Debug` and is excluded from [`context_key`] — a job's wall-clock
-    /// budget must never partition the memo caches.
+    /// `Debug`, so it never enters a verdict-cache key — a job's
+    /// wall-clock budget must not partition the cache.
     pub deadline: Deadline,
 }
 
@@ -182,14 +180,15 @@ pub fn backward(
     backward_with_cache(stmt, post, lib, reg, opts, rankings, None)
 }
 
-/// [`backward`] with an optional memo cache for subterm results (see
-/// [`crate::cache`]): composite subterms whose annotated pass was already
-/// computed — in this run or for an earlier program sharing the cache —
-/// are returned without recomputation.
+/// [`backward`] with an optional verdict cache (see [`crate::cache`]):
+/// the embedded `⊑_inf` side conditions (cut assertions, loop
+/// invariants) whose verdict was already decided — in this run or for an
+/// earlier program sharing the cache — are answered without a solver
+/// call. The transformer itself always recomputes.
 ///
 /// # Errors
 ///
-/// Same as [`backward`]. Failed subterms are never cached.
+/// Same as [`backward`].
 pub fn backward_with_cache(
     stmt: &Stmt,
     post: &Assertion,
@@ -206,35 +205,10 @@ pub fn backward_with_cache(
         rankings,
         next_loop_id: 0,
         cache,
-        ctx_key: context_key(reg, opts),
         path: Vec::new(),
     };
     let tagged = tag_loops(stmt, &mut ctx.next_loop_id);
     ctx.go(&tagged, post)
-}
-
-/// Hashes the run context every subterm key must incorporate: register
-/// layout and the verification options that influence computed results.
-fn context_key(reg: &Register, opts: VcOptions) -> CacheKey {
-    let mut h = KeyHasher::new();
-    h.write_usize(reg.n_qubits());
-    for name in reg.names() {
-        h.write_str(name);
-    }
-    h.write_u8(match opts.mode {
-        Mode::Partial => 0,
-        Mode::Total => 1,
-    });
-    h.write_usize(opts.max_set);
-    // Factored and dense pipelines compute the same operators but store
-    // them differently; keep their cached artifacts apart.
-    h.write_u8(opts.factor_assertions as u8);
-    // The solver verdict depends on every LownerOptions field (eps,
-    // iteration budgets, lanczos and primal sub-options); the Debug
-    // rendering covers them all — f64 Debug is shortest-roundtrip, so
-    // distinct values always render apart.
-    h.write_str(&format!("{:?}", opts.lowner));
-    h.finish()
 }
 
 /// Convenience wrapper returning only the computed weakest (liberal)
@@ -327,7 +301,6 @@ struct Ctx<'a> {
     rankings: &'a HashMap<usize, RankingCertificate>,
     next_loop_id: usize,
     cache: Option<&'a dyn TransformerCache>,
-    ctx_key: CacheKey,
     /// Child-index path from the program root to the subterm currently
     /// being transformed — the statement *span* reported when an embedded
     /// obligation (cut assertion, loop invariant) fails, so a rejected
@@ -364,11 +337,9 @@ impl BranchProjectors {
 }
 
 impl Ctx<'_> {
-    /// Backward pass over one subterm, consulting the memo cache for
-    /// composite nodes (leaves are cheaper to recompute than to look up).
+    /// Backward pass over one subterm.
     ///
-    /// Every visit records one `wp` span (even cache hits — the span's
-    /// `cached` argument tells them apart), so a trace of a loop-free
+    /// Every visit records one `wp` span, so a trace of a loop-free
     /// program carries exactly one wp span per statement node.
     fn go(&mut self, stmt: &TStmt, post: &Assertion) -> Result<Annotated, VerifError> {
         // Cooperative cancellation at every statement boundary: the span
@@ -378,8 +349,7 @@ impl Ctx<'_> {
         if self.opts.deadline.expired() {
             return Err(VerifError::Timeout { at: self.span() });
         }
-        let tracer = self.opts.tracer;
-        let mut span = tracer.span(Phase::Wp, stmt_kind(stmt));
+        let mut span = self.opts.tracer.span(Phase::Wp, stmt_kind(stmt));
         if span.recording() {
             span.arg("path", ArgValue::Str(self.span()));
             span.arg("set_size", ArgValue::U64(post.len() as u64));
@@ -390,28 +360,7 @@ impl Ctx<'_> {
                 span.arg("footprint", ArgValue::U64(fp as u64));
             }
         }
-        match self.cache {
-            Some(cache) if self.cacheable(stmt) => {
-                let key = self.subterm_key(stmt, post);
-                let hit = {
-                    let mut cspan = tracer.span(Phase::Cache, "transformer_tier");
-                    let hit = cache.get(key);
-                    cspan.classify(
-                        "transformer_tier",
-                        if hit.is_some() { "hit" } else { "miss" },
-                    );
-                    hit
-                };
-                if let Some(hit) = hit {
-                    span.arg("cached", ArgValue::Bool(true));
-                    return Ok(hit);
-                }
-                let ann = self.go_uncached(stmt, post)?;
-                cache.put(key, &ann);
-                Ok(ann)
-            }
-            _ => self.go_uncached(stmt, post),
-        }
+        self.transform(stmt, post)
     }
 
     /// [`Ctx::go`] on a child subterm, tracking the statement path for
@@ -439,135 +388,7 @@ impl Ctx<'_> {
         }
     }
 
-    /// Whether a subterm's annotated result may be memoised: composite
-    /// nodes only, and loop-bearing subterms only in partial mode (total
-    /// mode consults ranking certificates outside the cache key).
-    fn cacheable(&self, stmt: &TStmt) -> bool {
-        let composite = matches!(
-            stmt,
-            TStmt::Seq(_) | TStmt::NDet(_, _) | TStmt::If { .. } | TStmt::While { .. }
-        );
-        composite && (self.opts.mode == Mode::Partial || !contains_while(stmt))
-    }
-
-    /// Content key of `(subterm, postcondition)` under the run context:
-    /// structure plus every referenced operator resolved to exact matrix
-    /// bits, so renamed-but-identical and identical-by-content subterms
-    /// share entries while any numerical difference separates them.
-    fn subterm_key(&self, stmt: &TStmt, post: &Assertion) -> CacheKey {
-        let mut h = KeyHasher::new();
-        h.write_u64((self.ctx_key >> 64) as u64);
-        h.write_u64(self.ctx_key as u64);
-        self.hash_stmt(&mut h, stmt);
-        h.write_usize(post.dim());
-        h.write_usize(post.len());
-        for m in post.ops() {
-            h.write_predicate(m);
-        }
-        h.finish()
-    }
-
-    fn hash_expr(&self, h: &mut KeyHasher, expr: &AssertionExpr) {
-        h.write_usize(expr.terms.len());
-        for term in &expr.terms {
-            h.write_str(&term.op);
-            h.write_usize(term.qubits.len());
-            for q in &term.qubits {
-                h.write_str(q);
-            }
-            if let Ok(m) = self.lib.predicate(&term.op) {
-                h.write_matrix(&m);
-            }
-        }
-    }
-
-    fn hash_stmt(&self, h: &mut KeyHasher, stmt: &TStmt) {
-        match stmt {
-            TStmt::Skip => h.write_u8(0),
-            TStmt::Abort => h.write_u8(1),
-            TStmt::Assert(expr) => {
-                h.write_u8(2);
-                self.hash_expr(h, expr);
-            }
-            TStmt::Init(qubits) => {
-                h.write_u8(3);
-                h.write_usize(qubits.len());
-                for q in qubits {
-                    h.write_str(q);
-                }
-            }
-            TStmt::Unitary(qubits, op) => {
-                h.write_u8(4);
-                h.write_usize(qubits.len());
-                for q in qubits {
-                    h.write_str(q);
-                }
-                h.write_str(op);
-                if let Ok(u) = self.lib.unitary(op) {
-                    h.write_matrix(u);
-                }
-            }
-            TStmt::Seq(items) => {
-                h.write_u8(5);
-                h.write_usize(items.len());
-                for item in items {
-                    self.hash_stmt(h, item);
-                }
-            }
-            TStmt::NDet(a, b) => {
-                h.write_u8(6);
-                self.hash_stmt(h, a);
-                self.hash_stmt(h, b);
-            }
-            TStmt::If {
-                meas,
-                qubits,
-                then_branch,
-                else_branch,
-            } => {
-                h.write_u8(7);
-                self.hash_meas(h, meas, qubits);
-                self.hash_stmt(h, then_branch);
-                self.hash_stmt(h, else_branch);
-            }
-            TStmt::While {
-                meas,
-                qubits,
-                invariant,
-                body,
-                // Pre-order numbering is positional, not semantic; rankings
-                // (the only loop_id consumer) gate `cacheable` instead.
-                loop_id: _,
-            } => {
-                h.write_u8(8);
-                self.hash_meas(h, meas, qubits);
-                match invariant {
-                    Some(expr) => {
-                        h.write_u8(1);
-                        self.hash_expr(h, expr);
-                        // Inference settings change what an un-annotated
-                        // loop produces, so keep annotated/inferred apart.
-                    }
-                    None => h.write_u8(if self.opts.infer_invariants { 2 } else { 0 }),
-                }
-                self.hash_stmt(h, body);
-            }
-        }
-    }
-
-    fn hash_meas(&self, h: &mut KeyHasher, meas: &str, qubits: &[String]) {
-        h.write_str(meas);
-        h.write_usize(qubits.len());
-        for q in qubits {
-            h.write_str(q);
-        }
-        if let Ok(m) = self.lib.measurement(meas) {
-            h.write_matrix(m.p0());
-            h.write_matrix(m.p1());
-        }
-    }
-
-    fn go_uncached(&mut self, stmt: &TStmt, post: &Assertion) -> Result<Annotated, VerifError> {
+    fn transform(&mut self, stmt: &TStmt, post: &Assertion) -> Result<Annotated, VerifError> {
         let n = self.reg.n_qubits();
         let dim = self.reg.dim();
         match stmt {
@@ -649,16 +470,18 @@ impl Ctx<'_> {
                 })
             }
             TStmt::Seq(items) => {
+                // Each statement's postcondition is the precondition just
+                // computed for its successor, borrowed rather than cloned.
                 let mut annotated_rev: Vec<Annotated> = Vec::with_capacity(items.len());
-                let mut current = post.clone();
                 for (idx, item) in items.iter().enumerate().rev() {
-                    let ann = self.go_child(idx, item, &current)?;
-                    current = ann.pre.clone();
+                    let current = annotated_rev.last().map_or(post, |a| &a.pre);
+                    let ann = self.go_child(idx, item, current)?;
                     annotated_rev.push(ann);
                 }
+                let pre = annotated_rev.last().map_or(post, |a| &a.pre).clone();
                 annotated_rev.reverse();
                 Ok(Annotated {
-                    pre: current,
+                    pre,
                     node: AnnotatedNode::Seq(annotated_rev),
                 })
             }
@@ -866,21 +689,6 @@ fn stmt_footprint(stmt: &TStmt) -> Option<usize> {
         TStmt::Init(qubits) | TStmt::Unitary(qubits, _) => Some(qubits.len()),
         TStmt::If { qubits, .. } | TStmt::While { qubits, .. } => Some(qubits.len()),
         _ => None,
-    }
-}
-
-/// Whether any `while` loop occurs in the subterm.
-fn contains_while(stmt: &TStmt) -> bool {
-    match stmt {
-        TStmt::While { .. } => true,
-        TStmt::Seq(items) => items.iter().any(contains_while),
-        TStmt::NDet(a, b) => contains_while(a) || contains_while(b),
-        TStmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => contains_while(then_branch) || contains_while(else_branch),
-        _ => false,
     }
 }
 
@@ -1246,11 +1054,6 @@ mod tests {
         assert!(err.is_timeout(), "{err:?}");
         let msg = err.to_string();
         assert!(msg.contains("deadline exceeded"), "{msg}");
-        // A job's wall-clock budget must not partition the memo caches.
-        assert_eq!(
-            context_key(&reg, opts),
-            context_key(&reg, VcOptions::default())
-        );
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub fn verify_proof_term(
     verify_proof_term_with(term, lib, opts, rankings, registry, None)
 }
 
-/// [`verify_proof_term`] with an optional memo cache threaded through to
-/// the backward pass (see [`crate::cache::TransformerCache`]); batch
-/// drivers share one cache across many proof terms.
+/// [`verify_proof_term`] with an optional verdict cache threaded through
+/// every `⊑_inf` obligation (see [`crate::cache::TransformerCache`]);
+/// batch drivers share one cache across many proof terms.
 ///
 /// # Errors
 ///

@@ -1,29 +1,26 @@
-//! The concurrent memo cache behind corpus runs: two content-addressed
-//! tiers — annotated backward-pass subterm results, and `⊑_inf`/`⊑_sup`
-//! solver verdicts — shared by every worker of a batch, with an optional
-//! LRU size bound per tier (`nqpv batch --cache-cap N`) and an optional
-//! persistent [`DiskCache`] layered under the verdict tier
+//! The concurrent memo cache behind corpus runs: one content-addressed
+//! tier of `⊑_inf`/`⊑_sup` solver verdicts shared by every worker of a
+//! batch, with an optional LRU size bound (`nqpv batch --cache-cap N`)
+//! and an optional persistent [`DiskCache`] layered under it
 //! (`--cache-dir DIR`) so warm verdicts survive restarts.
 
 use crate::disk::DiskCache;
-use nqpv_core::{Annotated, CacheKey, TransformerCache};
+use nqpv_core::{CacheKey, TransformerCache};
 use nqpv_solver::Verdict;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Snapshot of cache effectiveness counters for both tiers (plus the disk
-/// backend, all-zero when none is layered).
+/// Snapshot of cache effectiveness counters for the verdict tier (plus
+/// the disk backend, all-zero when none is layered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Transformer-tier lookups answered from the store.
+    /// Always 0: the backward-transformer subterm tier these counted was
+    /// removed (keying a subterm cost more than recomputing it). Kept so
+    /// existing consumers of the snapshot still build.
     pub hits: u64,
-    /// Transformer-tier lookups that fell through to computation.
+    /// Always 0, like [`CacheStats::hits`].
     pub misses: u64,
-    /// Transformer-tier entries currently stored.
-    pub entries: u64,
-    /// Transformer-tier entries evicted by the LRU bound.
-    pub evictions: u64,
     /// Solver verdict-tier lookups answered from the store.
     pub verdict_hits: u64,
     /// Solver verdict-tier lookups that fell through to the solver.
@@ -49,31 +46,22 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// `hits / (hits + misses)` for the transformer tier, or 0 when
+    /// `verdict_hits / (verdict_hits + verdict_misses)`, or 0 when
     /// nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        ratio(self.hits, self.misses)
-    }
-
-    /// `verdict_hits / (verdict_hits + verdict_misses)` for the solver
-    /// verdict tier, or 0 when nothing was looked up.
     pub fn verdict_hit_rate(&self) -> f64 {
-        ratio(self.verdict_hits, self.verdict_misses)
+        let total = self.verdict_hits + self.verdict_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.verdict_hits as f64 / total as f64
+        }
     }
 }
 
-fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
-/// One LRU-bounded tier: a content-addressed map plus a recency index
-/// (logical-clock `BTreeMap`, oldest stamp first). Unbounded when
-/// `cap == None`. All operations run under the owning mutex.
+/// The LRU-bounded verdict store: a content-addressed map plus a
+/// recency index (logical-clock `BTreeMap`, oldest stamp first).
+/// Unbounded when `cap == None`. All operations run under the owning
+/// mutex.
 #[derive(Debug)]
 struct Tier<V> {
     map: HashMap<CacheKey, (V, u64)>,
@@ -134,23 +122,17 @@ impl<V: Clone> Tier<V> {
     }
 }
 
-/// Content-addressed, thread-safe memo store for backward-transformer
-/// subterm results *and* solver verdicts — one instance is shared (via
-/// `Arc`) by every worker of a batch run.
+/// Content-addressed, thread-safe memo store for solver verdicts — one
+/// instance is shared (via `Arc`) by every worker of a batch run.
 ///
 /// Lookup and insert both take a short mutex critical section (the stored
 /// values are cloned out, never borrowed), so workers contend only for
-/// map access, not for verification work. The two tiers use separate
-/// locks: a worker resolving a verdict never blocks one storing a
-/// subterm. With [`MemoCache::with_capacity`] each tier evicts its least
-/// recently used entry once it holds more than `cap` entries, bounding
-/// resident memory on long corpus runs; eviction counts surface in
-/// [`CacheStats`].
+/// map access, not for verification work. With
+/// [`MemoCache::with_capacity`] the store evicts its least recently used
+/// entry once it holds more than `cap` entries, bounding resident memory
+/// on long corpus runs; eviction counts surface in [`CacheStats`].
 #[derive(Debug)]
 pub struct MemoCache {
-    map: Mutex<Tier<Annotated>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     verdicts: Mutex<Tier<Verdict>>,
     verdict_hits: AtomicU64,
     verdict_misses: AtomicU64,
@@ -169,26 +151,19 @@ impl MemoCache {
         MemoCache::layered(None, None)
     }
 
-    /// An empty cache holding at most `cap` entries **per tier**, evicting
+    /// An empty cache holding at most `cap` verdicts, evicting
     /// least-recently-used entries beyond that.
     pub fn with_capacity(cap: usize) -> Self {
         MemoCache::layered(Some(cap), None)
     }
 
-    /// The general constructor: optional per-tier LRU bound, optional
-    /// persistent [`DiskCache`] layered **under the verdict tier** —
-    /// verdict lookups that miss memory fall through to disk, disk hits
-    /// are promoted into memory (so each distinct key pays one file read
-    /// per run), and freshly computed verdicts write through to both. The
-    /// transformer tier stays memory-only: annotated subterm results are
-    /// orders of magnitude bigger than verdicts and hit mostly within a
-    /// run, exactly why the ROADMAP scheduled the verdict tier for
-    /// persistence first.
+    /// The general constructor: optional LRU bound, optional persistent
+    /// [`DiskCache`] layered **under** the memory store — lookups that
+    /// miss memory fall through to disk, disk hits are promoted into
+    /// memory (so each distinct key pays one file read per run), and
+    /// freshly computed verdicts write through to both.
     pub fn layered(cap: Option<usize>, disk: Option<Arc<DiskCache>>) -> Self {
         MemoCache {
-            map: Mutex::new(Tier::new(cap)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             verdicts: Mutex::new(Tier::new(cap)),
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
@@ -201,23 +176,17 @@ impl MemoCache {
         self.disk.as_ref()
     }
 
-    /// Current hit/miss/size/eviction counters for both tiers (and the
-    /// disk backend, when layered).
+    /// Current hit/miss/size/eviction counters (and the disk backend's,
+    /// when layered).
     pub fn stats(&self) -> CacheStats {
-        let (entries, evictions) = {
-            let t = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            (t.len() as u64, t.evictions)
-        };
         let (verdict_entries, verdict_evictions) = {
             let t = self.verdicts.lock().unwrap_or_else(|e| e.into_inner());
             (t.len() as u64, t.evictions)
         };
         let disk = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            evictions,
+            hits: 0,
+            misses: 0,
             verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
             verdict_misses: self.verdict_misses.load(Ordering::Relaxed),
             verdict_entries,
@@ -243,7 +212,6 @@ pub fn record_cache_metrics(stats: &CacheStats) {
     const LOOKUPS: &str = "nqpv_cache_lookups_total";
     const LOOKUPS_HELP: &str = "Cache lookups, by tier and outcome.";
     for (tier, hits, misses) in [
-        ("transformer", stats.hits, stats.misses),
         ("verdict", stats.verdict_hits, stats.verdict_misses),
         ("disk", stats.disk_hits, stats.disk_misses),
     ] {
@@ -259,7 +227,6 @@ pub fn record_cache_metrics(stats: &CacheStats) {
     const ENTRIES: &str = "nqpv_cache_entries";
     const ENTRIES_HELP: &str = "Entries currently stored, by cache tier.";
     for (tier, entries) in [
-        ("transformer", stats.entries),
         ("verdict", stats.verdict_entries),
         ("disk", stats.disk_entries),
     ] {
@@ -287,22 +254,6 @@ pub fn record_cache_metrics(stats: &CacheStats) {
 }
 
 impl TransformerCache for MemoCache {
-    fn get(&self, key: CacheKey) -> Option<Annotated> {
-        let found = self.map.lock().unwrap_or_else(|e| e.into_inner()).get(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: CacheKey, value: &Annotated) {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .put(key, value.clone());
-    }
-
     fn get_verdict(&self, key: CacheKey) -> Option<Verdict> {
         // Deterministic chaos: solver_delay models a wedged solver by
         // stalling the lookup path; job deadlines must still cut the job
@@ -357,47 +308,58 @@ mod tests {
 
     #[test]
     fn repeated_backward_passes_hit_the_cache() {
+        // The loop-invariant side condition is the backward pass's ⊑_inf
+        // query: a second identical pass answers it from the verdict tier.
         let cache = MemoCache::new();
         let lib = OperatorLibrary::with_builtins();
         let reg = Register::new(&["q"]).unwrap();
-        let stmt = parse_stmt("( [q] *= H; [q] *= H # skip )").unwrap();
+        let stmt = parse_stmt("{ inv : I[q] }; while M01[q] do [q] *= H end").unwrap();
         let post = Assertion::identity(2);
         let opts = VcOptions::default();
         let none = HashMap::new();
         let a = backward_with_cache(&stmt, &post, &lib, &reg, opts, &none, Some(&cache)).unwrap();
         let first = cache.stats();
-        assert_eq!(first.hits, 0);
-        assert!(first.entries > 0, "composite nodes must be stored");
+        assert_eq!(first.verdict_hits, 0);
+        assert!(
+            first.verdict_entries > 0,
+            "the invariant verdict must be stored"
+        );
         let b = backward_with_cache(&stmt, &post, &lib, &reg, opts, &none, Some(&cache)).unwrap();
         let second = cache.stats();
-        assert!(second.hits >= 1, "identical pass must hit: {second:?}");
-        // Cached and computed results are bit-identical.
+        assert!(
+            second.verdict_hits >= 1,
+            "identical pass must hit: {second:?}"
+        );
+        assert_eq!(second.verdict_misses, first.verdict_misses);
+        // The transformer recomputes: both passes are bit-identical.
         assert_eq!(a.pre.ops().len(), b.pre.ops().len());
         for (x, y) in a.pre.ops().iter().zip(b.pre.ops()) {
-            assert!(x.approx_eq(y.dense(), 0.0), "cached pre must be exact");
+            assert!(x.approx_eq(y.dense(), 0.0), "repeated pre must be exact");
         }
     }
 
     #[test]
     fn different_posts_do_not_collide() {
+        // The same cut assertion checked against two postconditions is
+        // two distinct ⊑_inf queries: no hit, two entries, two verdicts.
         let cache = MemoCache::new();
         let lib = OperatorLibrary::with_builtins();
         let reg = Register::new(&["q"]).unwrap();
-        let stmt = parse_stmt("( skip # [q] *= X )").unwrap();
+        let stmt = parse_stmt("{ P0[q] }; skip").unwrap();
         let opts = VcOptions::default();
         let none = HashMap::new();
         let p0 = Assertion::from_ops(2, vec![nqpv_quantum::ket("0").projector()]).unwrap();
-        let pp = Assertion::from_ops(2, vec![nqpv_quantum::ket("+").projector()]).unwrap();
-        let a = backward_with_cache(&stmt, &p0, &lib, &reg, opts, &none, Some(&cache)).unwrap();
-        let b = backward_with_cache(&stmt, &pp, &lib, &reg, opts, &none, Some(&cache)).unwrap();
+        let p1 = Assertion::from_ops(2, vec![nqpv_quantum::ket("1").projector()]).unwrap();
+        let a = backward_with_cache(&stmt, &p0, &lib, &reg, opts, &none, Some(&cache));
+        let b = backward_with_cache(&stmt, &p1, &lib, &reg, opts, &none, Some(&cache));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 0, "distinct posts must not collide: {stats:?}");
-        assert_eq!(stats.entries, 2);
-        // xp.(skip # X).P0 = {P0, P1}; xp.(skip # X).Pp = {Pp} (X-invariant).
-        assert!(
-            !a.pre.approx_set_eq(&b.pre, 1e-9),
-            "distinct postconditions must produce distinct results"
+        assert_eq!(
+            stats.verdict_hits, 0,
+            "distinct posts must not collide: {stats:?}"
         );
+        assert_eq!(stats.verdict_entries, 2);
+        assert!(a.is_ok(), "{a:?}");
+        assert!(b.is_err(), "P0 does not entail P1");
     }
 
     #[test]
@@ -442,10 +404,8 @@ mod tests {
         .unwrap();
         assert!(second.status.verified());
         let after_second = cache.stats();
-        // Every second-round ⊑_inf query is answered from the verdict tier
-        // (the transformer tier already short-circuits the subterm pass, so
-        // at minimum the final precondition comparison re-runs): hits grow,
-        // misses and entries do not.
+        // Every second-round ⊑_inf query is answered from the verdict tier:
+        // hits grow, misses and entries do not.
         assert!(
             after_second.verdict_hits > after_first.verdict_hits,
             "second pass must hit the verdict cache: {after_second:?}"
@@ -608,9 +568,9 @@ mod tests {
 
     #[test]
     fn lru_tiers_survive_concurrent_hammering() {
-        // Satellite: many threads hammer both tiers of a tiny-capacity
-        // cache; the run must not deadlock or panic, and the counters
-        // must stay consistent with what the threads observed.
+        // Many threads hammer a tiny-capacity cache; the run must not
+        // deadlock or panic, and the counters must stay consistent with
+        // what the threads observed.
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
@@ -630,7 +590,7 @@ mod tests {
                     // Deterministic per-thread key walk over a keyspace
                     // (3·CAP) wide enough to force constant eviction.
                     let mut x = (t as u64 + 1) * 0x9e37_79b9;
-                    for i in 0..OPS {
+                    for _ in 0..OPS {
                         x = x
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
@@ -643,11 +603,6 @@ mod tests {
                                 seen_misses.fetch_add(1, Ordering::Relaxed)
                             }
                         };
-                        // Interleave transformer-tier traffic through the
-                        // *other* lock to exercise both mutexes at once.
-                        if i % 7 == 0 {
-                            let _ = cache.get(key);
-                        }
                     }
                 });
             }
@@ -669,28 +624,19 @@ mod tests {
             "every resident or evicted entry came from a miss-then-put: {stats:?}"
         );
         assert!(stats.verdict_evictions > 0, "keyspace must overflow CAP");
-        // The transformer tier took lookups but no inserts.
-        assert_eq!(stats.entries, 0);
-        assert!(stats.misses > 0);
     }
 
     #[test]
     fn hit_rate_arithmetic() {
         let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            entries: 1,
-            evictions: 0,
             verdict_hits: 1,
             verdict_misses: 3,
             verdict_entries: 2,
             verdict_evictions: 4,
             ..CacheStats::default()
         };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.verdict_hit_rate() - 0.25).abs() < 1e-12);
         let empty = CacheStats::default();
-        assert_eq!(empty.hit_rate(), 0.0);
         assert_eq!(empty.verdict_hit_rate(), 0.0);
     }
 }

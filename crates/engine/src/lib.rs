@@ -12,10 +12,10 @@
 //! * **Workers** — [`run_batch`] drives a configurable pool of std
 //!   threads over the job queue ([`BatchOptions::jobs`]); every `Session`
 //!   run is independent, so jobs parallelise embarrassingly.
-//! * **Cache** — [`MemoCache`] is a content-addressed, thread-safe memo
-//!   store implementing [`nqpv_core::TransformerCache`]: backward-pass
-//!   results for repeated `(subterm, postcondition)` pairs are computed
-//!   once per corpus and shared across all workers.
+//! * **Cache** — [`MemoCache`] is a content-addressed, thread-safe
+//!   verdict store implementing [`nqpv_core::TransformerCache`]: repeated
+//!   `⊑_inf`/`⊑_sup` solver queries are decided once per corpus and
+//!   shared across all workers.
 //!
 //! Results come back as a structured [`BatchReport`] — per-job
 //! [`JobStatus`], wall-clock timings, and cache hit rates — serialisable

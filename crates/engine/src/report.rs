@@ -154,16 +154,10 @@ impl BatchReport {
             Some(c) => {
                 let _ = writeln!(
                     out,
-                    "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"evictions\": {}, \"hit_rate\": {:.4}, \
-                     \"verdict_hits\": {}, \"verdict_misses\": {}, \"verdict_entries\": {}, \"verdict_evictions\": {}, \"verdict_hit_rate\": {:.4}, \
+                    "  \"cache\": {{\"verdict_hits\": {}, \"verdict_misses\": {}, \"verdict_entries\": {}, \"verdict_evictions\": {}, \"verdict_hit_rate\": {:.4}, \
                      \"disk_hits\": {}, \"disk_misses\": {}, \"disk_writes\": {}, \
                      \"disk_entries\": {}, \"disk_bytes\": {}, \
                      \"disk_quarantined\": {}, \"disk_evicted\": {}}},",
-                    c.hits,
-                    c.misses,
-                    c.entries,
-                    c.evictions,
-                    c.hit_rate(),
                     c.verdict_hits,
                     c.verdict_misses,
                     c.verdict_entries,
@@ -289,16 +283,6 @@ impl BatchReport {
             self.total_ms
         );
         if let Some(c) = &self.cache {
-            let _ = writeln!(
-                out,
-                "cache: {} hit(s), {} miss(es), {} entr{}, {} eviction(s), hit rate {:.1}%",
-                c.hits,
-                c.misses,
-                c.entries,
-                if c.entries == 1 { "y" } else { "ies" },
-                c.evictions,
-                c.hit_rate() * 100.0
-            );
             let _ = writeln!(
                 out,
                 "verdict cache: {} hit(s), {} miss(es), {} entr{}, {} eviction(s), hit rate {:.1}%",
@@ -446,14 +430,10 @@ mod tests {
             bins: 2,
             total_ms: 2.0,
             cache: Some(CacheStats {
-                hits: 1,
-                misses: 3,
-                entries: 3,
-                evictions: 2,
                 verdict_hits: 3,
                 verdict_misses: 1,
                 verdict_entries: 1,
-                verdict_evictions: 0,
+                verdict_evictions: 2,
                 disk_hits: 5,
                 disk_misses: 2,
                 disk_writes: 2,
@@ -461,6 +441,7 @@ mod tests {
                 disk_bytes: 4096,
                 disk_quarantined: 0,
                 disk_evicted: 0,
+                ..CacheStats::default()
             }),
         }
     }
@@ -472,10 +453,12 @@ mod tests {
         assert!(json.contains("\"status\": \"verified\""));
         assert!(json.contains("\\\"token\\\""), "{json}");
         assert!(json.contains("\\n"), "newlines escaped");
-        assert!(json.contains("\"hit_rate\": 0.2500"));
-        assert!(json.contains("\"evictions\": 2"), "{json}");
+        assert!(
+            !json.contains("\"hits\""),
+            "no transformer-tier counters: {json}"
+        );
         assert!(json.contains("\"verdict_hits\": 3"), "{json}");
-        assert!(json.contains("\"verdict_evictions\": 0"), "{json}");
+        assert!(json.contains("\"verdict_evictions\": 2"), "{json}");
         assert!(json.contains("\"verdict_hit_rate\": 0.7500"), "{json}");
         assert!(json.contains("\"bins\": 2"), "{json}");
         assert!(json.contains("\"bin\": \"00000000deadbeef\""), "{json}");
@@ -511,7 +494,6 @@ mod tests {
         let text = report.human_summary();
         assert!(text.contains("1 verified"));
         assert!(text.contains("1 error"));
-        assert!(text.contains("hit rate 25.0%"));
         assert!(text.contains("2 eviction(s)"), "{text}");
         assert!(text.contains("verdict cache: 3 hit(s)"), "{text}");
         assert!(text.contains("hit rate 75.0%"), "{text}");

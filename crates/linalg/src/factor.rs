@@ -323,6 +323,13 @@ pub fn canonical_factor(v: &CMat) -> CMat {
             if accepted == k {
                 break;
             }
+            // ‖p‖² = ‖B_c† e_j‖² for the orthonormal B_c, and the
+            // Gram–Schmidt rounds below only shrink it: a row this light
+            // can never pass the pivot threshold, so skip the O(d·k) work.
+            let weight: f64 = (lo..hi).map(|c_idx| basis[(j, c_idx)].norm_sqr()).sum();
+            if weight <= 0.5e-12 {
+                continue;
+            }
             // p = B_c · (B_c† e_j); B_c† e_j is the conjugated j-th row.
             let mut p = vec![Complex::ZERO; d];
             for c_idx in lo..hi {

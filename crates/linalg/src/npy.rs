@@ -32,6 +32,8 @@ pub enum NpyError {
     UnsupportedRank(usize),
     /// Payload shorter than the shape requires.
     Truncated,
+    /// The shape's element or byte count does not fit in `usize`.
+    ShapeOverflow(usize, usize),
 }
 
 impl fmt::Display for NpyError {
@@ -45,6 +47,7 @@ impl fmt::Display for NpyError {
             NpyError::FortranOrder => write!(f, "fortran-order npy arrays are unsupported"),
             NpyError::UnsupportedRank(r) => write!(f, "unsupported npy rank {r}"),
             NpyError::Truncated => write!(f, "npy payload shorter than header shape"),
+            NpyError::ShapeOverflow(r, c) => write!(f, "npy shape ({r}, {c}) is too large"),
         }
     }
 }
@@ -94,13 +97,20 @@ pub fn read_matrix_bytes(bytes: &[u8]) -> Result<CMat, NpyError> {
         2 => (shape[0], shape[1]),
         r => return Err(NpyError::UnsupportedRank(r)),
     };
-    let count = rows * cols;
+    // A hostile header can name any shape: size it with checked
+    // arithmetic before comparing against the payload or allocating.
+    let count = rows
+        .checked_mul(cols)
+        .ok_or(NpyError::ShapeOverflow(rows, cols))?;
     let payload = &bytes[10 + header_len..];
+    let fits = |width: usize| match count.checked_mul(width) {
+        None => Err(NpyError::ShapeOverflow(rows, cols)),
+        Some(n) if payload.len() < n => Err(NpyError::Truncated),
+        Some(_) => Ok(()),
+    };
     let data = match descr.as_str() {
         "<c16" | "|c16" | "=c16" => {
-            if payload.len() < count * 16 {
-                return Err(NpyError::Truncated);
-            }
+            fits(16)?;
             (0..count)
                 .map(|k| {
                     let re = f64::from_le_bytes(payload[k * 16..k * 16 + 8].try_into().unwrap());
@@ -111,9 +121,7 @@ pub fn read_matrix_bytes(bytes: &[u8]) -> Result<CMat, NpyError> {
                 .collect::<Vec<_>>()
         }
         "<f8" | "|f8" | "=f8" => {
-            if payload.len() < count * 8 {
-                return Err(NpyError::Truncated);
-            }
+            fits(8)?;
             (0..count)
                 .map(|k| {
                     Complex::real(f64::from_le_bytes(
@@ -228,6 +236,27 @@ mod tests {
     use super::*;
     use crate::complex::c;
 
+    /// A version-1.0 `.npy` file with header dictionary `dict` and raw
+    /// `payload` bytes.
+    fn npy_bytes(dict: &str, payload: &[u8]) -> Vec<u8> {
+        let mut header = dict.as_bytes().to_vec();
+        let total = 10 + header.len() + 1;
+        let pad = (64 - total % 64) % 64;
+        header.extend(std::iter::repeat_n(b' ', pad));
+        header.push(b'\n');
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&[1, 0]);
+        bytes.extend_from_slice(&(header.len() as u16).to_le_bytes());
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    fn f8_payload(values: &[f64]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     #[test]
     fn round_trip_complex_matrix() {
         let m = CMat::from_fn(3, 4, |i, j| c(i as f64 + 0.5, j as f64 - 1.25));
@@ -249,19 +278,7 @@ mod tests {
     fn reads_real_f8_files() {
         // Hand-construct an <f8 file for a 2×2 identity.
         let dict = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }";
-        let mut header = dict.as_bytes().to_vec();
-        let total = 10 + header.len() + 1;
-        let pad = (64 - total % 64) % 64;
-        header.extend(std::iter::repeat_n(b' ', pad));
-        header.push(b'\n');
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&[1, 0]);
-        bytes.extend_from_slice(&(header.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        for v in [1.0f64, 0.0, 0.0, 1.0] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
+        let bytes = npy_bytes(dict, &f8_payload(&[1.0, 0.0, 0.0, 1.0]));
         let m = read_matrix_bytes(&bytes).unwrap();
         assert!(m.approx_eq(&CMat::identity(2), 1e-15));
     }
@@ -269,19 +286,7 @@ mod tests {
     #[test]
     fn rank1_becomes_column() {
         let dict = "{'descr': '<f8', 'fortran_order': False, 'shape': (3,), }";
-        let mut header = dict.as_bytes().to_vec();
-        let total = 10 + header.len() + 1;
-        let pad = (64 - total % 64) % 64;
-        header.extend(std::iter::repeat_n(b' ', pad));
-        header.push(b'\n');
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&[1, 0]);
-        bytes.extend_from_slice(&(header.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        for v in [1.0f64, 2.0, 3.0] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
+        let bytes = npy_bytes(dict, &f8_payload(&[1.0, 2.0, 3.0]));
         let m = read_matrix_bytes(&bytes).unwrap();
         assert_eq!((m.rows(), m.cols()), (3, 1));
         assert!((m[(2, 0)].re - 3.0).abs() < 1e-15);
@@ -310,20 +315,35 @@ mod tests {
     #[test]
     fn fortran_order_rejected() {
         let dict = "{'descr': '<c16', 'fortran_order': True, 'shape': (1, 1), }";
-        let mut header = dict.as_bytes().to_vec();
-        let total = 10 + header.len() + 1;
-        let pad = (64 - total % 64) % 64;
-        header.extend(std::iter::repeat_n(b' ', pad));
-        header.push(b'\n');
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&[1, 0]);
-        bytes.extend_from_slice(&(header.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(&[0u8; 16]);
+        let bytes = npy_bytes(dict, &[0u8; 16]);
         assert!(matches!(
             read_matrix_bytes(&bytes),
             Err(NpyError::FortranOrder)
+        ));
+    }
+
+    #[test]
+    fn oversized_shapes_are_errors_not_panics() {
+        // 2^60 elements fit in usize but 16 bytes each do not.
+        let dict = "{'descr': '<c16', 'fortran_order': False, 'shape': (1152921504606846976, 1), }";
+        assert!(matches!(
+            read_matrix_bytes(&npy_bytes(dict, &[0u8; 16])),
+            Err(NpyError::ShapeOverflow(1152921504606846976, 1))
+        ));
+        // 2^32 × 2^32 elements do not fit in usize at all.
+        for descr in ["<c16", "<f8"] {
+            let dict = format!(
+                "{{'descr': '{descr}', 'fortran_order': False, 'shape': (4294967296, 4294967296), }}"
+            );
+            let err = read_matrix_bytes(&npy_bytes(&dict, &[0u8; 16])).unwrap_err();
+            assert!(matches!(err, NpyError::ShapeOverflow(..)), "{err}");
+            assert!(err.to_string().contains("too large"), "{err}");
+        }
+        // A representable but unbacked shape is a truncation.
+        let dict = "{'descr': '<f8', 'fortran_order': False, 'shape': (1152921504606846976, 1), }";
+        assert!(matches!(
+            read_matrix_bytes(&npy_bytes(dict, &[0u8; 16])),
+            Err(NpyError::Truncated)
         ));
     }
 

@@ -62,9 +62,9 @@ pub struct ServeOptions {
     pub jobs: usize,
     /// Verification options applied to every job.
     pub vc: VcOptions,
-    /// Share a memo cache across all jobs (on by default).
+    /// Share a verdict cache across all jobs (on by default).
     pub use_cache: bool,
-    /// Optional per-tier LRU bound for the shared cache.
+    /// Optional LRU bound (verdict entries) for the shared cache.
     pub cache_cap: Option<usize>,
     /// Optional persistent verdict-store directory (see [`DiskCache`]).
     pub cache_dir: Option<PathBuf>,

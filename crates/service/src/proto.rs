@@ -484,10 +484,6 @@ impl Event {
                 let cache_json = match cache {
                     None => Json::Null,
                     Some(c) => obj(vec![
-                        ("hits", n(c.hits as f64)),
-                        ("misses", n(c.misses as f64)),
-                        ("entries", n(c.entries as f64)),
-                        ("evictions", n(c.evictions as f64)),
                         ("verdict_hits", n(c.verdict_hits as f64)),
                         ("verdict_misses", n(c.verdict_misses as f64)),
                         ("verdict_entries", n(c.verdict_entries as f64)),
@@ -716,10 +712,6 @@ impl Event {
                     Some(c) => {
                         let g = |k: &str| c.get(k).and_then(Json::as_u64).unwrap_or(0);
                         Some(CacheStats {
-                            hits: g("hits"),
-                            misses: g("misses"),
-                            entries: g("entries"),
-                            evictions: g("evictions"),
                             verdict_hits: g("verdict_hits"),
                             verdict_misses: g("verdict_misses"),
                             verdict_entries: g("verdict_entries"),
@@ -731,6 +723,7 @@ impl Event {
                             disk_bytes: g("disk_bytes"),
                             disk_quarantined: g("disk_quarantined"),
                             disk_evicted: g("disk_evicted"),
+                            ..CacheStats::default()
                         })
                     }
                 };
@@ -961,7 +954,7 @@ mod tests {
                     faults_injected: 4,
                 },
                 cache: Some(CacheStats {
-                    hits: 1,
+                    verdict_hits: 1,
                     disk_hits: 7,
                     disk_writes: 4,
                     disk_entries: 9,

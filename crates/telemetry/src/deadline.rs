@@ -9,10 +9,10 @@
 //! preemption, only prompt voluntary unwinding into a structured
 //! `TIMEOUT` verdict.
 //!
-//! `Debug` is deliberately constant (`"Deadline"`): the transformer's
-//! cache context key hashes option structs through their `Debug`
-//! rendering, and a key that varied with each job's wall-clock budget
-//! would silently partition the memo/verdict caches per job.
+//! `Debug` is deliberately constant (`"Deadline"`): the verdict cache
+//! key hashes the solver options through their `Debug` rendering, and a
+//! key that varied with each job's wall-clock budget would silently
+//! partition the verdict cache per job.
 
 use std::time::{Duration, Instant};
 

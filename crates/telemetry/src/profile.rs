@@ -31,7 +31,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Classification keys that refine a frame name when present on a span
 /// (recording mode attaches them as args).
-const CLASSIFY_KEYS: [&str; 3] = ["solver_path", "verdict_tier", "transformer_tier"];
+const CLASSIFY_KEYS: [&str; 2] = ["solver_path", "verdict_tier"];
 
 /// An accumulating self-time profile; see the module docs.
 #[derive(Default)]

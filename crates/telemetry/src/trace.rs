@@ -17,9 +17,9 @@
 //! hot paths pay one predictable branch.
 //!
 //! `Debug` for [`Tracer`] is deliberately constant (`"Tracer"`): the
-//! transformer's cache context key hashes option structs through their
-//! `Debug` rendering, and a key that varied with the tracer slot would
-//! silently partition the memo/verdict caches per job.
+//! verdict cache key hashes the solver options through their `Debug`
+//! rendering, and a key that varied with the tracer slot would silently
+//! partition the verdict cache per job.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,7 +118,7 @@ pub enum Phase {
     Wp,
     /// A Löwner-order solver obligation.
     Solver,
-    /// A memo/verdict cache tier lookup.
+    /// A verdict cache lookup.
     Cache,
     /// Counterexample extraction and replay.
     Diagnose,

@@ -41,7 +41,8 @@ fn main() {
     }
     println!();
     println!("the wall-clock column reproduces the shape of the paper's Sec. 6.5");
-    println!("observation: cost grows exponentially with the qubit count, because");
-    println!("predicates are dense 2^n x 2^n matrices (the Python tool needed 90 s");
-    println!("and 32 GB at n = 13).");
+    println!("observation: cost grows exponentially with the qubit count. The");
+    println!("predicates stay low-rank factored (2^n x r), but every oracle and");
+    println!("diffusion step is a dense 2^n x 2^n unitary (the Python tool needed");
+    println!("90 s and 32 GB at n = 13).");
 }

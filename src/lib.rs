@@ -24,9 +24,8 @@
 //!   per-statement expectation trajectories, confirmed by forward
 //!   replay;
 //! * [`engine`] — the batch-verification engine: corpora of `.nqpv`
-//!   jobs, a parallel worker pool, a shared content-addressed memo
-//!   cache for backward-transformer subterms and solver verdicts, and
-//!   the persistent on-disk verdict store;
+//!   jobs, a parallel worker pool, a shared content-addressed solver
+//!   verdict cache, and the persistent on-disk verdict store;
 //! * [`service`] — the async verification daemon: NDJSON-over-TCP job
 //!   submission with priorities, streamed per-job reports, and the
 //!   blocking client.

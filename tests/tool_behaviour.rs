@@ -249,8 +249,7 @@ fn cli_batch_verifies_the_corpus_in_parallel() {
     assert!(json.contains("\"workers\": 4"), "{json}");
     assert!(json.contains("\"cache\""), "{json}");
     assert!(json.contains("\"ms\""), "{json}");
-    // The solver verdict-cache tier is reported alongside the transformer
-    // cache counters.
+    // The solver verdict cache reports its counters.
     assert!(json.contains("\"verdict_hits\""), "{json}");
     assert!(json.contains("\"verdict_misses\""), "{json}");
     assert!(json.contains("\"verdict_hit_rate\""), "{json}");
@@ -300,16 +299,14 @@ fn cli_batch_verifies_the_corpus_in_parallel() {
     );
     let summary = String::from_utf8_lossy(&manifest.stdout);
     assert!(summary.contains("5 job(s): 5 verified"), "{summary}");
-    // grover_step_twin is program-identical to grover_step, so the shared
-    // memo cache must report hits — and its repeated ⊑_inf queries must
-    // land in the solver verdict tier.
-    assert!(summary.contains("cache:"), "{summary}");
+    // grover_step_twin is program-identical to grover_step, so its
+    // repeated ⊑_inf queries must be answered by the shared verdict cache.
     assert!(summary.contains("verdict cache:"), "{summary}");
     // ": 0 hit(s)" matches an exact zero count without also matching
     // counts that merely end in 0 (e.g. "10 hit(s)").
     assert!(
         !summary.contains(": 0 hit(s)"),
-        "twin job must hit both cache tiers: {summary}"
+        "twin job must hit the verdict cache: {summary}"
     );
 
     // Corpus-level failures are usage-style errors: exit 2.
@@ -384,8 +381,8 @@ fn cli_explain_turns_rejections_into_witnesses() {
 
 #[test]
 fn cli_batch_cache_cap_bounds_and_reports_evictions() {
-    // A 1-entry-per-tier LRU over the manifest corpus: verdicts are
-    // unchanged, eviction counters surface in both report formats.
+    // A 1-entry LRU over the manifest corpus: verdicts are unchanged,
+    // eviction counters surface in both report formats.
     let Some(capped) = run_nqpv(&[
         "batch",
         "examples/corpus/manifest.txt",
@@ -404,11 +401,10 @@ fn cli_batch_cache_cap_bounds_and_reports_evictions() {
         String::from_utf8_lossy(&capped.stderr)
     );
     let json = String::from_utf8_lossy(&capped.stdout);
-    assert!(json.contains("\"evictions\":"), "{json}");
     assert!(json.contains("\"verdict_evictions\":"), "{json}");
-    // The tier never exceeds the cap.
+    // The store never exceeds the cap.
     assert!(
-        json.contains("\"entries\": 1") || json.contains("\"entries\": 0"),
+        json.contains("\"verdict_entries\": 1") || json.contains("\"verdict_entries\": 0"),
         "{json}"
     );
     // Human summary carries the eviction counts too.
