@@ -23,6 +23,8 @@ use nqpv_core::{Session, VcOptions};
 use nqpv_engine::{run_batch, BatchOptions, Corpus, DiskCache};
 use nqpv_lang::parse_source;
 use nqpv_service::{serve_blocking, Client, Event, Request, RetryPolicy, ServeOptions};
+use nqpv_telemetry::json::{self, Json};
+use nqpv_telemetry::series::{samples_from_json, SeriesSample, SeriesValue};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -214,7 +216,7 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
             if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
                 std::fs::write(
                     Path::new(dir).join(format!("{name}.trace.json")),
-                    data.chrome_json(&name),
+                    data.chrome_json(&name).to_string(),
                 )
             }) {
                 eprintln!("warning: cannot write trace under '{dir}': {e}");
@@ -235,36 +237,27 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut all_ok = true;
     if json {
-        let mut out = String::new();
-        out.push_str("{\"file\": ");
-        out.push_str(&json_str(path));
-        out.push_str(", \"proofs\": [");
-        for (i, d) in report.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"verified\": {}",
-                json_str(&d.name),
-                d.verified
-            ));
-            if let Some(cex) = &d.counterexample {
-                out.push_str(", \"counterexample\": ");
-                out.push_str(&cex.to_json());
-            }
-            out.push('}');
-            all_ok &= d.verified;
-        }
-        out.push_str("]}");
-        println!("{out}");
+        let proofs = report
+            .iter()
+            .map(|d| {
+                let mut members = vec![
+                    ("name", json::s(d.name.as_str())),
+                    ("verified", Json::Bool(d.verified)),
+                ];
+                if let Some(cex) = &d.counterexample {
+                    members.push(("counterexample", cex.to_json()));
+                }
+                json::obj(members)
+            })
+            .collect();
+        let doc = json::obj(vec![("file", json::s(path)), ("proofs", Json::Arr(proofs))]);
+        println!("{doc}");
     } else {
         for d in &report {
             if d.verified {
                 println!("proof '{}': verified (no counterexample)", d.name);
             } else {
-                all_ok = false;
                 println!("proof '{}': REJECTED", d.name);
                 match &d.counterexample {
                     Some(cex) => print!("{}", cex.human()),
@@ -273,7 +266,7 @@ fn cmd_explain(rest: &[String], infer: bool) -> ExitCode {
             }
         }
     }
-    if all_ok {
+    if report.iter().all(|d| d.verified) {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
@@ -759,11 +752,10 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
                     if client.reconnects() != generation && !pending.is_empty() {
                         orphaned = true;
                     }
-                    let ids: Vec<String> = accepted
-                        .iter()
-                        .map(|(id, name)| format!("{{\"id\":{id},\"name\":{}}}", json_str(name)))
-                        .collect();
-                    println!("{{\"event\":\"accepted\",\"jobs\":[{}]}}", ids.join(","));
+                    let echo = Event::Accepted {
+                        jobs: accepted.clone(),
+                    };
+                    println!("{}", echo.to_line());
                     pending.extend(accepted.iter().map(|(id, _)| *id));
                     names.extend(accepted);
                 }
@@ -810,7 +802,7 @@ fn client_submit(client: &mut Client, rest: &[String]) -> std::io::Result<ExitCo
                     let stitched =
                         nqpv_telemetry::stitch_chrome_json(hex, &[&client_half, &daemon_half]);
                     let file = Path::new(dir).join(format!("{name}.trace.json"));
-                    if let Err(e) = std::fs::write(&file, stitched) {
+                    if let Err(e) = std::fs::write(&file, stitched.to_string()) {
                         eprintln!("warning: cannot write trace '{}': {e}", file.display());
                     }
                 }
@@ -899,89 +891,12 @@ fn cmd_top(rest: &[String]) -> ExitCode {
     }
 }
 
-/// One metric observation inside a ring sample, as decoded from the
-/// daemon's `series` reply.
-enum TopValue {
-    Rate {
-        delta: u64,
-        per_sec: f64,
-    },
-    Hist {
-        bounds: Vec<f64>,
-        deltas: Vec<u64>,
-        sum: f64,
-    },
-}
-
-struct TopPoint {
-    name: String,
-    labels: String,
-    value: TopValue,
-}
-
-struct TopSample {
-    points: Vec<TopPoint>,
-}
-
-/// Decodes the `series` JSON dump into typed samples, skipping anything
-/// malformed (forward compatibility: unknown kinds are ignored).
-fn parse_series(text: &str) -> Vec<TopSample> {
-    use nqpv_service::Json;
-    let Ok(root) = Json::parse(text) else {
-        return Vec::new();
-    };
-    let Some(samples) = root.get("samples").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for s in samples {
-        let mut points = Vec::new();
-        for p in s.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            let (Some(name), Some(kind)) = (
-                p.get("name").and_then(Json::as_str),
-                p.get("kind").and_then(Json::as_str),
-            ) else {
-                continue;
-            };
-            let labels = p.get("labels").and_then(Json::as_str).unwrap_or("");
-            let value = match kind {
-                "rate" => TopValue::Rate {
-                    delta: p.get("delta").and_then(Json::as_u64).unwrap_or(0),
-                    per_sec: p.get("per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-                },
-                "hist" => TopValue::Hist {
-                    bounds: p
-                        .get("bounds")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_f64).collect())
-                        .unwrap_or_default(),
-                    deltas: p
-                        .get("deltas")
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default(),
-                    sum: p.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                },
-                // Gauges are not charted; unknown kinds are skipped.
-                _ => continue,
-            };
-            points.push(TopPoint {
-                name: name.to_string(),
-                labels: labels.to_string(),
-                value,
-            });
-        }
-        out.push(TopSample { points });
-    }
-    out
-}
-
 /// Re-accumulates the per-window histogram bucket deltas for `name`
 /// (labels must contain `label_sub` when given) across the whole ring
 /// window into one [`nqpv_telemetry::HistogramSnapshot`], ready for
 /// interpolated quantiles over recent jobs.
 fn hist_window(
-    samples: &[TopSample],
+    samples: &[SeriesSample],
     name: &str,
     label_sub: Option<&str>,
 ) -> Option<nqpv_telemetry::HistogramSnapshot> {
@@ -993,7 +908,7 @@ fn hist_window(
             if p.name != name || !label_sub.is_none_or(|sub| p.labels.contains(sub)) {
                 continue;
             }
-            if let TopValue::Hist {
+            if let SeriesValue::Buckets {
                 bounds: b,
                 deltas,
                 sum: ds,
@@ -1033,7 +948,7 @@ fn hist_window(
 
 /// Per-sample summed `per_sec` rates for `name` across matching labels —
 /// the sparkline series.
-fn rate_series(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> Vec<f64> {
+fn rate_series(samples: &[SeriesSample], name: &str, label_sub: Option<&str>) -> Vec<f64> {
     samples
         .iter()
         .map(|s| {
@@ -1041,7 +956,7 @@ fn rate_series(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> Ve
                 .iter()
                 .filter(|p| p.name == name && label_sub.is_none_or(|sub| p.labels.contains(sub)))
                 .map(|p| match &p.value {
-                    TopValue::Rate { per_sec, .. } => *per_sec,
+                    SeriesValue::Rate { per_sec, .. } => *per_sec,
                     _ => 0.0,
                 })
                 .sum()
@@ -1050,13 +965,13 @@ fn rate_series(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> Ve
 }
 
 /// Total counter delta for `name` over the whole ring window.
-fn rate_total(samples: &[TopSample], name: &str, label_sub: Option<&str>) -> u64 {
+fn rate_total(samples: &[SeriesSample], name: &str, label_sub: Option<&str>) -> u64 {
     samples
         .iter()
         .flat_map(|s| &s.points)
         .filter(|p| p.name == name && label_sub.is_none_or(|sub| p.labels.contains(sub)))
         .map(|p| match &p.value {
-            TopValue::Rate { delta, .. } => *delta,
+            SeriesValue::Rate { delta, .. } => *delta,
             _ => 0,
         })
         .sum()
@@ -1103,8 +1018,8 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
     let Event::Stats { queue, cache } = stats else {
         return Err(std::io::Error::other("unexpected stats reply"));
     };
-    let (sample_secs, slo_ms, series_json) = client.series(0, None)?;
-    let samples = parse_series(&series_json);
+    let (sample_secs, slo_ms, ring) = client.series(0, None)?;
+    let samples = samples_from_json(&ring);
     let mut out = String::new();
     out.push_str(&format!(
         "nqpv top — {addr}  (uptime {}s, ring: {} sample(s) × {:.0}s)\n",
@@ -1141,7 +1056,7 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
             if p.name != "nqpv_jobs_completed_total" {
                 continue;
             }
-            if let (TopValue::Rate { delta, .. }, Some(status)) =
+            if let (SeriesValue::Rate { delta, .. }, Some(status)) =
                 (&p.value, label_value(&p.labels, "status"))
             {
                 match mix.iter_mut().find(|(k, _)| k == status) {
@@ -1227,11 +1142,6 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
         }
     }
     Ok(out)
-}
-
-/// Minimal JSON string escaping for the `accepted` echo line.
-fn json_str(s: &str) -> String {
-    nqpv_service::proto::json_escape(s)
 }
 
 fn cmd_ops() -> ExitCode {

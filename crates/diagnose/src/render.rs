@@ -1,56 +1,50 @@
-//! Rendering of [`Counterexample`](crate::Counterexample)s: a compact
-//! single-line JSON object (embeddable in the engine's batch report and
-//! the service's NDJSON `verdict` events) and a human-readable story.
-//! Self-contained writer — the workspace vendors no serde.
+//! Rendering of [`Counterexample`](crate::Counterexample)s: a JSON
+//! value (embedded in the engine's batch report and the service's NDJSON
+//! `verdict` events) and a human-readable story.
 
 use crate::{Counterexample, TrajectoryPoint, Witness};
+use nqpv_linalg::Complex;
+use nqpv_telemetry::json::{n, obj, s, Json};
 use std::fmt::Write as _;
 
 impl Counterexample {
-    /// Compact, single-line JSON rendering. Numbers use Rust's
-    /// shortest-roundtrip `f64` formatting (never scientific notation),
-    /// so the output is strict JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        let _ = write!(out, "\"proof\":{}", json_string(&self.proof));
-        let _ = write!(out, ",\"obligation\":{}", json_string(&self.obligation));
-        let _ = write!(out, ",\"vc_index\":{}", self.vc_index);
-        let _ = write!(out, ",\"confirmed\":{}", self.confirmed);
-        let _ = write!(out, ",\"exhaustive\":{}", self.exhaustive);
-        let _ = write!(out, ",\"gap\":{}", num(self.gap));
-        let _ = write!(out, ",\"solver_margin\":{}", num(self.solver_margin));
-        let _ = write!(out, ",\"pre_expectation\":{}", num(self.pre_expectation));
-        let _ = write!(out, ",\"post_expectation\":{}", num(self.post_expectation));
-        out.push_str(",\"witness\":");
-        witness_json(&mut out, &self.witness);
-        out.push_str(",\"schedule\":[");
-        for (i, step) in self.schedule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"branch\":\"{}\"}}",
-                step.index,
-                if step.right { "right" } else { "left" }
-            );
-        }
-        out.push_str("],\"trajectory\":[");
-        for (i, p) in self.trajectory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"statement\":{},\"expectation\":{},\"trace\":{}}}",
-                json_string(&p.statement),
-                num(p.expectation),
-                num(p.trace)
-            );
-        }
-        out.push_str("]}");
-        out
+    /// The counterexample as a JSON object; it renders on one line.
+    pub fn to_json(&self) -> Json {
+        let schedule = self
+            .schedule
+            .iter()
+            .map(|step| {
+                obj(vec![
+                    ("index", n(step.index as f64)),
+                    ("branch", s(if step.right { "right" } else { "left" })),
+                ])
+            })
+            .collect();
+        let trajectory = self
+            .trajectory
+            .iter()
+            .map(|p| {
+                obj(vec![
+                    ("statement", s(p.statement.as_str())),
+                    ("expectation", n(p.expectation)),
+                    ("trace", n(p.trace)),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("proof", s(self.proof.as_str())),
+            ("obligation", s(self.obligation.as_str())),
+            ("vc_index", n(self.vc_index as f64)),
+            ("confirmed", Json::Bool(self.confirmed)),
+            ("exhaustive", Json::Bool(self.exhaustive)),
+            ("gap", n(self.gap)),
+            ("solver_margin", n(self.solver_margin)),
+            ("pre_expectation", n(self.pre_expectation)),
+            ("post_expectation", n(self.post_expectation)),
+            ("witness", witness_json(&self.witness)),
+            ("schedule", Json::Arr(schedule)),
+            ("trajectory", Json::Arr(trajectory)),
+        ])
     }
 
     /// Multi-line human rendering: witness amplitudes, the demon's branch
@@ -140,73 +134,20 @@ impl Counterexample {
     }
 }
 
-fn witness_json(out: &mut String, w: &Witness) {
-    let _ = write!(
-        out,
-        "{{\"dim\":{},\"purity\":{}",
-        w.rho.rows(),
-        num(w.purity)
-    );
+fn witness_json(w: &Witness) -> Json {
+    let pair = |z: Complex| Json::Arr(vec![n(z.re), n(z.im)]);
+    let mut members = vec![("dim", n(w.rho.rows() as f64)), ("purity", n(w.purity))];
     if let Some(amps) = &w.amplitudes {
-        out.push_str(",\"amplitudes\":[");
-        for (i, z) in amps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", num(z.re), num(z.im));
-        }
-        out.push(']');
+        members.push((
+            "amplitudes",
+            Json::Arr(amps.iter().copied().map(pair).collect()),
+        ));
     }
-    out.push_str(",\"rho\":[");
-    for i in 0..w.rho.rows() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for j in 0..w.rho.cols() {
-            if j > 0 {
-                out.push(',');
-            }
-            let z = w.rho[(i, j)];
-            let _ = write!(out, "[{},{}]", num(z.re), num(z.im));
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
-}
-
-/// Finite `f64` as a strict-JSON number (non-finite values degrade to 0 —
-/// they cannot arise from trace expectations of valid states).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // `{}` on f64 never emits scientific notation, but ensure a JSON
-        // number (it always is); integers render without a dot, fine.
-        s
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Escapes a string as a JSON literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let rho = (0..w.rho.rows())
+        .map(|i| Json::Arr((0..w.rho.cols()).map(|j| pair(w.rho[(i, j)])).collect()))
+        .collect();
+    members.push(("rho", Json::Arr(rho)));
+    obj(members)
 }
 
 #[cfg(test)]
@@ -228,7 +169,7 @@ mod tests {
 
     #[test]
     fn json_is_single_line_and_balanced() {
-        let json = sample().to_json();
+        let json = sample().to_json().to_string();
         assert!(!json.contains('\n'), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
@@ -261,9 +202,19 @@ mod tests {
 
     #[test]
     fn json_numbers_are_plain() {
-        assert_eq!(num(0.5), "0.5");
-        assert_eq!(num(1.0), "1");
-        assert_eq!(num(f64::NAN), "0");
-        assert_eq!(json_string("a\"b\n"), "\"a\\\"b\\n\"");
+        // Numbers go through the shared writer: shortest round-trip
+        // digits, no exponent, and `null` for a non-finite value.
+        let mut cex = sample();
+        cex.gap = 0.5;
+        cex.solver_margin = 1e-20;
+        cex.pre_expectation = f64::NAN;
+        let json = cex.to_json().to_string();
+        assert!(json.contains("\"gap\":0.5,"), "{json}");
+        assert!(
+            json.contains("\"solver_margin\":0.00000000000000000001,"),
+            "{json}"
+        );
+        assert!(json.contains("\"pre_expectation\":null,"), "{json}");
+        assert!(json.contains("\"proof\":\"pf\""), "{json}");
     }
 }

@@ -373,7 +373,8 @@ fn flight_dump(flight_dir: Option<&Path>, reason: &str, job: &Job) {
     } else {
         String::new()
     };
-    let _ = flight::dump_to(dir, reason, &job.name, &hex);
+    let dump = flight::render_dump(reason, &job.name, &hex);
+    let _ = flight::dump_to(dir, reason, &job.name, &dump);
 }
 
 /// A drained-once job source over a fixed corpus with **verdict-cache
@@ -681,7 +682,7 @@ fn job_attempt(
         // Best-effort: a trace-file write failure must never fail the job.
         let _ = std::fs::create_dir_all(dir);
         let path = dir.join(format!("{}.trace.json", file_stem_safe(&job.name)));
-        let _ = std::fs::write(path, data.chrome_json(&job.name));
+        let _ = std::fs::write(path, data.chrome_json(&job.name).to_string());
     }
     nqpv_telemetry::record_job(status.label(), secs, &data);
     // Predicted-vs-actual cost accounting: how many times longer (or
@@ -1019,8 +1020,8 @@ mod tests {
         // An active wire context forces full recording even without a
         // trace dir; the daemon's half comes back as a bare event array.
         let events = report.trace_json.expect("active trace records events");
-        assert!(events.starts_with('['), "{events}");
-        assert!(events.ends_with(']'), "{events}");
+        assert!(events.as_arr().is_some(), "{events}");
+        let events = events.to_string();
         assert!(events.contains("\"cat\":\"wp\""), "{events}");
         assert!(events.contains("bin_place"), "{events}");
         // Untraced jobs pay nothing: no event payload rides the report.

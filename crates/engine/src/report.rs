@@ -1,8 +1,10 @@
 //! Structured batch results: per-job status, timings, cache counters,
-//! with JSON and human renderings (no external serialisation crates —
-//! the JSON writer below is self-contained).
+//! with JSON and human renderings. The JSON keeps its own line layout
+//! (one job per line) but escapes strings and embeds counterexamples
+//! through the shared [`nqpv_telemetry::json`] writer.
 
 use crate::cache::CacheStats;
+use nqpv_telemetry::json::{escape, Json};
 use nqpv_telemetry::{Phase, PhaseTotals};
 use std::fmt::Write as _;
 
@@ -85,7 +87,7 @@ pub struct JobReport {
     /// timestamps) when the job carried an active wire trace context —
     /// the daemon's half of a client-stitched trace. Not rendered into
     /// batch JSON.
-    pub trace_json: Option<String>,
+    pub trace_json: Option<Json>,
 }
 
 /// The whole batch run.
@@ -182,9 +184,9 @@ impl BatchReport {
         out.push_str("  \"jobs\": [\n");
         for (i, job) in self.jobs.iter().enumerate() {
             out.push_str("    {");
-            let _ = write!(out, "\"name\": {}", json_string(&job.name));
+            let _ = write!(out, "\"name\": {}", escape(&job.name));
             if let Some(path) = &job.path {
-                let _ = write!(out, ", \"path\": {}", json_string(path));
+                let _ = write!(out, ", \"path\": {}", escape(path));
             }
             let _ = write!(out, ", \"status\": \"{}\"", job.status.label());
             let _ = write!(out, ", \"ms\": {:.3}", job.ms);
@@ -202,14 +204,14 @@ impl BatchReport {
                         let _ = write!(
                             out,
                             "{{\"name\": {}, \"verified\": {}}}",
-                            json_string(&p.name),
+                            escape(&p.name),
                             p.verified
                         );
                     }
                     out.push(']');
                 }
                 JobStatus::Error { message } | JobStatus::Timeout { message } => {
-                    let _ = write!(out, ", \"error\": {}", json_string(message));
+                    let _ = write!(out, ", \"error\": {}", escape(message));
                 }
             }
             if !job.phases.is_empty() {
@@ -221,7 +223,7 @@ impl BatchReport {
                     if k > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&cex.to_json());
+                    let _ = write!(out, "{}", cex.to_json());
                 }
                 out.push(']');
             }
@@ -358,27 +360,6 @@ fn phases_json(totals: &PhaseTotals) -> String {
         );
     }
     out.push('}');
-    out
-}
-
-/// Escapes a string as a JSON literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -545,8 +526,8 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_chars() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("a\"b"), "\"a\\\"b\"");
+        assert_eq!(escape("a\\b"), "\"a\\\\b\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 }

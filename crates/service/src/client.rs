@@ -3,6 +3,7 @@
 //! drive the daemon with.
 
 use crate::proto::{Event, Request, VerdictEvent};
+use nqpv_telemetry::Json;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -362,21 +363,21 @@ impl Client {
     }
 
     /// Fetches the daemon-side trace events of a finished traced job:
-    /// `(name, trace_hex, events_json)` where `events_json` is a bare
-    /// Chrome trace-event array to stitch with the client's own half.
+    /// `(name, trace_hex, events)` where `events` is a bare Chrome
+    /// trace-event array to stitch with the client's own half.
     ///
     /// # Errors
     ///
     /// Socket failures; a daemon-side `error` reply (unknown, unfinished
     /// or untraced job) maps to [`io::ErrorKind::Other`].
-    pub fn fetch_trace(&mut self, id: u64) -> io::Result<(String, String, String)> {
+    pub fn fetch_trace(&mut self, id: u64) -> io::Result<(String, String, Json)> {
         match self.request(&Request::Trace { id })? {
             Event::Trace {
                 name,
                 trace,
                 events,
                 ..
-            } => Ok((name, trace, events.to_string())),
+            } => Ok((name, trace, events)),
             Event::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -386,14 +387,14 @@ impl Client {
     }
 
     /// Asks the daemon for an on-demand flight-recorder snapshot:
-    /// `(daemon_side_path, dump_json)`.
+    /// `(daemon_side_path, dump)`.
     ///
     /// # Errors
     ///
     /// Socket failures and unexpected replies.
-    pub fn dump_flight(&mut self) -> io::Result<(Option<String>, String)> {
+    pub fn dump_flight(&mut self) -> io::Result<(Option<String>, Json)> {
         match self.request(&Request::DumpFlight)? {
-            Event::FlightDump { path, dump } => Ok((path, dump.to_string())),
+            Event::FlightDump { path, dump } => Ok((path, dump)),
             Event::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -403,14 +404,15 @@ impl Client {
     }
 
     /// Fetches windows from the daemon's metrics time-series ring:
-    /// `(sample_secs, slo_ms, ring_json)`. `last` bounds the window
-    /// count (0 = the whole ring); `filter` keeps only series whose
-    /// family name contains it.
+    /// `(sample_secs, slo_ms, ring)`, the ring in the `/series` shape
+    /// ([`nqpv_telemetry::series::samples_from_json`] decodes it).
+    /// `last` bounds the window count (0 = the whole ring); `filter`
+    /// keeps only series whose family name contains it.
     ///
     /// # Errors
     ///
     /// Socket failures and unexpected replies.
-    pub fn series(&mut self, last: u64, filter: Option<&str>) -> io::Result<(f64, u64, String)> {
+    pub fn series(&mut self, last: u64, filter: Option<&str>) -> io::Result<(f64, u64, Json)> {
         let req = Request::Series {
             last,
             filter: filter.map(str::to_string),
@@ -420,7 +422,7 @@ impl Client {
                 sample_secs,
                 slo_ms,
                 data,
-            } => Ok((sample_secs, slo_ms, data.to_string())),
+            } => Ok((sample_secs, slo_ms, data)),
             Event::Error { message } => Err(io::Error::other(message)),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -27,7 +27,6 @@
 //!   layered over a persistent [`DiskCache`], so verdicts survive
 //!   restarts and are shared with `nqpv batch --cache-dir` runs.
 
-use crate::json::Json;
 use crate::proto::{verdict_event, Event, QueueStats, Request};
 use crate::queue::JobQueue;
 use nqpv_core::VcOptions;
@@ -36,7 +35,7 @@ use nqpv_engine::{
     MemoCache, PoolObserver,
 };
 use nqpv_telemetry::{
-    flight, log as tlog, profile, HttpResponse, MetricsServer, SeriesRing, TraceContext,
+    flight, log as tlog, profile, HttpResponse, Json, MetricsServer, SeriesRing, TraceContext,
 };
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -166,7 +165,7 @@ const TRACE_STORE_CAP: usize = 256;
 /// verdict arrives.
 struct TraceStore {
     cap: usize,
-    map: std::collections::HashMap<u64, (String, String, String)>,
+    map: std::collections::HashMap<u64, (String, String, Json)>,
     order: VecDeque<u64>,
 }
 
@@ -179,7 +178,7 @@ impl TraceStore {
         }
     }
 
-    fn insert(&mut self, id: u64, name: String, trace_hex: String, events: String) {
+    fn insert(&mut self, id: u64, name: String, trace_hex: String, events: Json) {
         if self.map.insert(id, (name, trace_hex, events)).is_none() {
             self.order.push_back(id);
         }
@@ -566,7 +565,10 @@ impl Daemon {
                         } else {
                             HttpResponse::text(503, "not accepting submissions\n".to_string())
                         }),
-                        "/series" => Some(HttpResponse::json(200, shared.series.to_json(0, None))),
+                        "/series" => Some(HttpResponse::json(
+                            200,
+                            shared.series.to_json(0, None).to_string(),
+                        )),
                         _ => None,
                     },
                 )?)
@@ -981,7 +983,7 @@ fn handle_request(req: Request, sub: &Arc<Subscriber>, shared: &Arc<Shared>) -> 
                     id,
                     name: name.clone(),
                     trace: trace_hex.clone(),
-                    events: Json::parse(events).unwrap_or(Json::Arr(Vec::new())),
+                    events: events.clone(),
                 },
                 None => Event::Error {
                     message: format!(
@@ -990,14 +992,11 @@ fn handle_request(req: Request, sub: &Arc<Subscriber>, shared: &Arc<Shared>) -> 
                 },
             }
         }
-        Request::Series { last, filter } => {
-            let json = shared.series.to_json(last as usize, filter.as_deref());
-            Event::Series {
-                sample_secs: shared.sample_secs as f64,
-                slo_ms: shared.slo_ms.unwrap_or(0),
-                data: Json::parse(&json).unwrap_or(Json::Null),
-            }
-        }
+        Request::Series { last, filter } => Event::Series {
+            sample_secs: shared.sample_secs as f64,
+            slo_ms: shared.slo_ms.unwrap_or(0),
+            data: shared.series.to_json(last as usize, filter.as_deref()),
+        },
         Request::Profile => {
             let prof = profile::global();
             Event::Profile {
@@ -1006,13 +1005,13 @@ fn handle_request(req: Request, sub: &Arc<Subscriber>, shared: &Arc<Shared>) -> 
             }
         }
         Request::DumpFlight => {
+            // One snapshot feeds both the file and the reply.
+            let dump = flight::render_dump("request", "daemon", "");
             let path = shared.flight_dir.as_deref().and_then(|dir| {
-                flight::dump_to(dir, "request", "daemon", "")
+                flight::dump_to(dir, "request", "daemon", &dump)
                     .ok()
                     .map(|p| p.display().to_string())
             });
-            let dump =
-                Json::parse(&flight::render_dump("request", "daemon", "")).unwrap_or(Json::Null);
             Event::FlightDump { path, dump }
         }
     }

@@ -12,11 +12,12 @@
 //! moment each job lands, and nothing learned should be forgotten
 //! between runs. Three pieces deliver that:
 //!
-//! * **Protocol** ([`proto`], [`json`]) — newline-delimited JSON over
-//!   TCP: submit inline sources, single files, or whole corpora with a
-//!   priority; subscribe to `queued → running → verdict` event streams;
-//!   query queue/cache statistics; request shutdown. Self-contained —
-//!   the workspace vendors no serde.
+//! * **Protocol** ([`proto`]) — newline-delimited JSON over TCP: submit
+//!   inline sources, single files, or whole corpora with a priority;
+//!   subscribe to `queued → running → verdict` event streams; query
+//!   queue/cache statistics; request shutdown. Lines are read and
+//!   written with the workspace's one JSON module,
+//!   [`nqpv_telemetry::json`], re-exported here as [`json`].
 //! * **Scheduling** ([`queue`]) — a blocking priority heap implementing
 //!   the engine's [`nqpv_engine::JobSource`] seam, ordered by
 //!   `(priority, verdict-cache affinity bin, FIFO)`, so urgent work
@@ -48,12 +49,11 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod proto;
 pub mod queue;
 
 pub use client::{Client, RetryPolicy};
 pub use daemon::{serve_blocking, Daemon, ServeOptions};
-pub use json::Json;
+pub use nqpv_telemetry::json::{self, Json};
 pub use proto::{Event, QueueStats, Request, VerdictEvent};
 pub use queue::{JobQueue, Overloaded};

@@ -20,8 +20,8 @@
 //! are ignored on decode, so old clients keep working when the daemon
 //! grows new ones.
 
-use crate::json::{escape, n, obj, s, Json};
 use nqpv_engine::{CacheStats, JobReport, JobStatus};
+use nqpv_telemetry::json::{n, obj, s, Json};
 
 /// A client→daemon request.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,8 +296,8 @@ pub struct VerdictEvent {
     /// Diagnostic message for `error` and `timeout` jobs (for timeouts,
     /// the partial-trajectory marker naming the statement reached).
     pub error: Option<String>,
-    /// Extracted counterexamples for rejected jobs (JSON objects as
-    /// produced by `nqpv_diagnose::Counterexample::to_json`), present
+    /// Extracted counterexamples for rejected jobs (the objects
+    /// `nqpv_diagnose::Counterexample::to_json` builds), present
     /// only when the daemon runs with `--explain`. Old clients ignore
     /// the extra member — the protocol is versioned by field presence.
     pub counterexamples: Vec<Json>,
@@ -802,24 +802,10 @@ pub fn verdict_event(id: u64, report: &JobReport, trace: Option<String>) -> Even
         worker: report.worker as u64,
         proofs,
         error,
-        // Counterexamples are produced as compact JSON by the diagnose
-        // crate; re-parse into protocol values so they embed as objects,
-        // not escaped strings. A malformed rendering (cannot happen —
-        // defensive) degrades to omission, never a broken event line.
-        counterexamples: report
-            .counterexamples
-            .iter()
-            .filter_map(|c| Json::parse(&c.to_json()).ok())
-            .collect(),
+        counterexamples: report.counterexamples.iter().map(|c| c.to_json()).collect(),
         predicted_cost: report.predicted_cost,
         trace,
     })
-}
-
-/// Renders an operator-facing string as a JSON string literal — re-export
-/// for the CLI's ad-hoc output.
-pub fn json_escape(text: &str) -> String {
-    escape(text)
 }
 
 #[cfg(test)]

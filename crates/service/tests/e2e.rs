@@ -5,6 +5,7 @@
 
 use nqpv_engine::{run_batch, BatchOptions, Corpus};
 use nqpv_service::{Client, Daemon, Event, Request, ServeOptions};
+use nqpv_telemetry::series::samples_from_json;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -283,6 +284,23 @@ fn protocol_errors_keep_the_connection_usable() {
     daemon.join();
     assert_eq!(watcher.next_event().unwrap(), None, "watcher must see EOF");
     while client.next_event().unwrap().is_some() {}
+}
+
+#[test]
+fn deeply_nested_line_gets_an_error_reply_and_the_daemon_keeps_serving() {
+    let daemon = start(None, 1);
+    let mut client = Client::connect(daemon.local_addr()).unwrap();
+    // Unbounded recursive descent would overflow the reader thread's
+    // stack on this line and abort the whole daemon.
+    client.send_raw(&"[".repeat(100_000)).unwrap();
+    match client.next_event().unwrap() {
+        Some(Event::Error { message }) => {
+            assert!(message.contains("nesting deeper than"), "{message}")
+        }
+        other => panic!("expected a structured error reply, got {other:?}"),
+    }
+    assert_eq!(client.request(&Request::Ping).unwrap(), Event::Pong);
+    daemon.join();
 }
 
 #[test]
@@ -741,22 +759,24 @@ fn series_ring_profile_and_http_endpoints_cover_live_jobs() {
     let (sample_secs, slo_ms, data) = client.series(0, None).unwrap();
     assert_eq!(sample_secs, 1.0);
     assert_eq!(slo_ms, 10_000);
-    let parsed = nqpv_service::Json::parse(&data).expect("series reply is valid JSON");
-    let samples = parsed
-        .get("samples")
-        .and_then(nqpv_service::Json::as_arr)
-        .expect("samples array");
+    let samples = samples_from_json(&data);
     assert!(samples.len() >= 2, "at least two ring samples: {data}");
+    let names: Vec<&str> = samples
+        .iter()
+        .flat_map(|s| &s.points)
+        .map(|p| p.name.as_str())
+        .collect();
     assert!(
-        data.contains("nqpv_jobs_completed_total"),
+        names.contains(&"nqpv_jobs_completed_total"),
         "completions sampled into the ring: {data}"
     );
     assert!(
-        data.contains("nqpv_slo_jobs_total"),
+        names.contains(&"nqpv_slo_jobs_total"),
         "SLO counters sampled into the ring: {data}"
     );
     // The name filter narrows the dump to matching series only.
     let (_, _, filtered) = client.series(0, Some("nqpv_uptime")).unwrap();
+    let filtered = filtered.to_string();
     assert!(filtered.contains("nqpv_uptime_seconds"), "{filtered}");
     assert!(
         !filtered.contains("nqpv_jobs_completed_total"),
@@ -827,7 +847,7 @@ fn trace_store_eviction_is_bounded_and_reported() {
     // structured error, not a hang or a protocol break.
     let (name, _, events) = client.fetch_trace(second).unwrap();
     assert_eq!(name, "kept");
-    assert!(events.starts_with('['), "trace events are a JSON array");
+    assert!(events.as_arr().is_some(), "trace events are a JSON array");
     let err = client
         .fetch_trace(first)
         .expect_err("evicted trace is gone");

@@ -43,6 +43,7 @@ fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
     // the client-minted id, and shows the successful attempt ran as a
     // retry after waiting in the queue.
     let (name, trace_hex, events) = client.fetch_trace(id).unwrap();
+    let events = events.to_string();
     assert_eq!(name, "panicky");
     assert_eq!(trace_hex, hex);
     for needle in ["queue_wait", "bin_place", "retry_attempt", "\"cat\":\"wp\""] {
@@ -73,14 +74,19 @@ fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
     );
 
     // On-demand snapshots work over the wire too, and land in the same
-    // directory.
+    // directory: the reply and the written file are one snapshot.
     let (path, dump) = client.dump_flight().unwrap();
-    assert!(path.is_some(), "daemon writes the dump under --flight-dir");
-    let on_demand = Json::parse(&dump).expect("on-demand dump is valid JSON");
+    let path = path.expect("daemon writes the dump under --flight-dir");
     assert_eq!(
-        on_demand.get("reason").and_then(Json::as_str),
+        dump.get("reason").and_then(Json::as_str),
         Some("request"),
         "{dump}"
+    );
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        Json::parse(&written).expect("written dump is valid JSON"),
+        dump,
+        "reply and file disagree"
     );
 
     // An untraced job yields no stored trace to fetch.

@@ -16,6 +16,7 @@
 //! `nqpv client … submit --trace-out` cross-references the fetched
 //! trace.
 
+use crate::json::{n, obj, s, Json};
 use crate::log::Level;
 use crate::metrics::global;
 use std::path::{Path, PathBuf};
@@ -168,50 +169,42 @@ pub fn snapshot() -> Vec<FlightEvent> {
     recorder().snapshot()
 }
 
-/// Renders a snapshot as a standalone JSON document: the trigger
-/// (`reason`, `job`, `trace_id`), drop statistics, then the events.
-pub fn render_dump(reason: &str, job: &str, trace_id_hex: &str) -> String {
-    let events = snapshot();
-    let mut out = String::with_capacity(256 + events.len() * 96);
-    out.push_str(&format!(
-        "{{\"reason\":{},\"job\":{},\"trace_id\":{},\"recorded\":{},\"dropped\":{},\"events\":[",
-        json_str(reason),
-        json_str(job),
-        json_str(trace_id_hex),
-        recorder().recorded(),
-        recorder().dropped(),
-    ));
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"ts_us\":{},\"level\":\"{}\",\"target\":{},\"trace_id\":\"{:016x}\",\"msg\":{}}}",
-            ev.seq,
-            ev.ts_us,
-            ev.level.label(),
-            json_str(ev.target),
-            ev.trace_id,
-            json_str(&ev.message),
-        ));
-    }
-    out.push_str("]}");
-    out
+/// Snapshots the process-global ring as a standalone JSON document: the
+/// trigger (`reason`, `job`, `trace_id`), drop statistics, then the
+/// events.
+pub fn render_dump(reason: &str, job: &str, trace_id_hex: &str) -> Json {
+    let events = snapshot()
+        .into_iter()
+        .map(|ev| {
+            obj(vec![
+                ("seq", n(ev.seq as f64)),
+                ("ts_us", n(ev.ts_us as f64)),
+                ("level", s(ev.level.label())),
+                ("target", s(ev.target)),
+                ("trace_id", s(format!("{:016x}", ev.trace_id))),
+                ("msg", s(ev.message)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("reason", s(reason)),
+        ("job", s(job)),
+        ("trace_id", s(trace_id_hex)),
+        ("recorded", n(recorder().recorded() as f64)),
+        ("dropped", n(recorder().dropped() as f64)),
+        ("events", Json::Arr(events)),
+    ])
 }
 
-/// Writes a dump into `dir` (created if missing) and returns its path.
-/// File names embed the reason, a sanitised job name, and the global
-/// sequence, so successive dumps never clobber each other.
+/// Writes `dump` (a [`render_dump`] document for `reason` and `job`)
+/// into `dir` (created if missing) and returns its path. File names
+/// embed the reason, a sanitised job name, and the global sequence, so
+/// successive dumps never clobber each other.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation and file-write failures.
-pub fn dump_to(
-    dir: &Path,
-    reason: &str,
-    job: &str,
-    trace_id_hex: &str,
-) -> std::io::Result<PathBuf> {
+pub fn dump_to(dir: &Path, reason: &str, job: &str, dump: &Json) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let safe_job: String = job
         .chars()
@@ -233,26 +226,8 @@ pub fn dump_to(
         },
         recorder().recorded(),
     ));
-    std::fs::write(&path, render_dump(reason, job, trace_id_hex))?;
+    std::fs::write(&path, dump.to_string())?;
     Ok(path)
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -298,15 +273,20 @@ mod tests {
     #[test]
     fn dump_renders_parseable_json_with_the_trigger() {
         record(Level::Error, "test", 0xABCD, "panic: \"boom\"".into());
-        let doc = render_dump("panic", "grover_10", "000000000000abcd");
+        let dump = render_dump("panic", "grover_10", "000000000000abcd");
+        let doc = dump.to_string();
         assert!(doc.starts_with("{\"reason\":\"panic\",\"job\":\"grover_10\""));
         assert!(doc.contains("\"trace_id\":\"000000000000abcd\""));
         assert!(doc.contains("\\\"boom\\\""));
         assert!(doc.ends_with("]}"));
         let dir = std::env::temp_dir().join("nqpv_flight_test");
-        let path = dump_to(&dir, "panic", "job/with:odd chars", "00").unwrap();
+        let path = dump_to(&dir, "panic", "job/with:odd chars", &dump).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"reason\":\"panic\""));
+        assert_eq!(
+            Json::parse(&body).unwrap(),
+            dump,
+            "the file is the snapshot"
+        );
         assert!(path
             .file_name()
             .unwrap()

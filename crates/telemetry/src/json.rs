@@ -1,14 +1,21 @@
-//! A minimal, dependency-free JSON value: enough for the service's
-//! newline-delimited protocol (the workspace vendors no serialisation
-//! crates, mirroring the self-contained writer in `nqpv-engine`'s batch
-//! report).
+//! The workspace's one JSON implementation: a [`Json`] value, its strict
+//! parser and its compact writer. Every JSON document the stack emits —
+//! protocol lines, batch reports, counterexamples, Chrome traces,
+//! flight dumps, series windows, log lines — is written through it, and
+//! every JSON input (protocol lines, replies, files) is read through it.
 //!
-//! Parsing is strict UTF-8 recursive descent over the full JSON grammar;
-//! numbers are held as `f64` (protocol integers stay well inside the
-//! 2⁵³ exact range). Object member order is preserved on both sides so
-//! encoded lines are deterministic.
+//! Parsing is strict UTF-8 recursive descent over the full JSON grammar,
+//! bounded to [`MAX_DEPTH`] nested arrays/objects so a hostile line
+//! cannot exhaust the stack; numbers are held as `f64` (protocol
+//! integers stay well inside the 2⁵³ exact range). Object member order
+//! is preserved on both sides so encoded lines are deterministic.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the stack itself emits (a counterexample's density matrix
+/// inside a `verdict` event) nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +93,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -99,18 +107,16 @@ impl Json {
 
 impl fmt::Display for Json {
     /// Compact single-line rendering — the protocol wire format.
+    /// Numbers use Rust's shortest round-trip `f64` formatting (never an
+    /// exponent); JSON has no NaN or infinity, so those render as `null`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
-            Json::Str(s) => write!(f, "{}", escape(s)),
+            Json::Num(x) if !x.is_finite() => write!(f, "null"),
+            Json::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{}", *x as i64),
+            Json::Num(x) => write!(f, "{x}"),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -127,7 +133,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
             }
@@ -138,27 +145,32 @@ impl fmt::Display for Json {
 /// Escapes a string as a JSON literal, quotes included.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+    let _ = write_escaped(&mut out, s);
+    out
+}
+
+/// Writes `s` as a JSON string literal, quotes included.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
-    out
+    out.write_char('"')
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -200,8 +212,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') | Some(b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at offset {}", self.pos)),
         }
@@ -428,6 +454,29 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let within = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&within).is_ok());
+        let past = format!("{}{}", "{\"a\":[".repeat(65), "]}".repeat(65));
+        assert!(
+            Json::parse(&past).is_err(),
+            "objects count toward the bound"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(n(x).to_string(), "null");
+        }
+        let doc = Json::Arr(vec![n(f64::NAN), n(0.5), n(-3.0), n(1e20)]);
+        assert_eq!(doc.to_string(), "[null,0.5,-3,100000000000000000000]");
+        assert!(Json::parse(&doc.to_string()).is_ok());
     }
 
     #[test]

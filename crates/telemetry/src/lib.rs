@@ -4,8 +4,8 @@
 //!
 //! The ROADMAP's scheduling- and perf-shaped tentpoles (cluster placement,
 //! cost-model-informed binning, intra-job kernel parallelism) all need to
-//! *see* where time and cache capacity go. This crate is that seam, in two
-//! halves:
+//! *see* where time and cache capacity go. This crate is that seam, in
+//! three parts:
 //!
 //! * **Spans** ([`Tracer`] / [`Span`]) — a thread-safe, `Copy` tracer
 //!   handle that rides inside option structs ([`Tracer`] is two `u32`s
@@ -21,6 +21,10 @@
 //!   histograms, rendered in Prometheus text-exposition format 0.0.4
 //!   ([`Registry::render`]) and servable over a loopback HTTP listener
 //!   ([`MetricsServer`]).
+//! * **JSON** ([`json`]) — the workspace's one JSON value, strict
+//!   parser and compact writer. Every document the stack emits (traces,
+//!   flight dumps, series windows, log lines here; batch reports,
+//!   counterexamples and protocol lines above) goes through it.
 //!
 //! A third, tiny piece rides alongside: [`Deadline`], a `Copy`
 //! cooperative wall-clock budget with the same constant-`Debug`
@@ -34,6 +38,7 @@
 mod deadline;
 pub mod flight;
 mod http;
+pub mod json;
 pub mod log;
 mod metrics;
 pub mod profile;
@@ -42,6 +47,7 @@ mod trace;
 
 pub use deadline::Deadline;
 pub use http::{HttpResponse, MetricsServer};
+pub use json::Json;
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SampleValue,
     COST_RATIO_BOUNDS, DEFAULT_LATENCY_BOUNDS,

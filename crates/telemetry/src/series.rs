@@ -13,13 +13,15 @@
 //! (oldest evicted first), is queried by window length and metric-name
 //! substring ([`SeriesRing::window`]), and dumps to JSON for the
 //! `/series` endpoint and the daemon's `series` request
-//! ([`SeriesRing::to_json`]).
+//! ([`SeriesRing::to_json`]); [`samples_from_json`] decodes the dump
+//! back into the same types.
 //!
 //! Consumers re-aggregate windows client-side: `nqpv top` sums
 //! histogram bucket deltas across the requested window, re-cumulates,
 //! and runs [`HistogramSnapshot::quantile`] over the result — a p95
 //! over the last N windows, not since process start.
 
+use crate::json::{n, obj, s, Json};
 use crate::metrics::{HistogramSnapshot, Registry, Sample, SampleValue};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -241,90 +243,102 @@ impl SeriesRing {
     /// `window_secs`/`points`, each point tagged with a `kind` of
     /// `"rate"`, `"gauge"`, or `"hist"`. Served verbatim on `/series`
     /// and inside the daemon's `series` event.
-    pub fn to_json(&self, last: usize, filter: Option<&str>) -> String {
+    pub fn to_json(&self, last: usize, filter: Option<&str>) -> Json {
         samples_to_json(&self.window(last, filter))
     }
 }
 
 /// Renders windows in the `/series` JSON shape; see
 /// [`SeriesRing::to_json`].
-pub fn samples_to_json(samples: &[SeriesSample]) -> String {
-    let mut out = String::from("{\"samples\":[");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"at_ms\":{},\"window_secs\":{},\"points\":[",
-            s.seq, s.at_ms, s.window_secs
-        ));
-        for (j, p) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"labels\":\"{}\",",
-                json_escape(&p.name),
-                json_escape(&p.labels)
-            ));
+pub fn samples_to_json(samples: &[SeriesSample]) -> Json {
+    let nums = |xs: &[f64]| Json::Arr(xs.iter().map(|&x| n(x)).collect());
+    let counts = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| n(x as f64)).collect());
+    let sample = |smp: &SeriesSample| {
+        let points = smp.points.iter().map(|p| {
+            let mut members = vec![
+                ("name", s(p.name.as_str())),
+                ("labels", s(p.labels.as_str())),
+            ];
             match &p.value {
-                SeriesValue::Rate { delta, per_sec } => {
-                    out.push_str(&format!(
-                        "\"kind\":\"rate\",\"delta\":{delta},\"per_sec\":{}",
-                        fmt_json_f64(*per_sec)
-                    ));
-                }
+                SeriesValue::Rate { delta, per_sec } => members.extend([
+                    ("kind", s("rate")),
+                    ("delta", n(*delta as f64)),
+                    ("per_sec", n(*per_sec)),
+                ]),
                 SeriesValue::Point(v) => {
-                    out.push_str(&format!("\"kind\":\"gauge\",\"value\":{v}"));
+                    members.extend([("kind", s("gauge")), ("value", n(*v as f64))])
                 }
                 SeriesValue::Buckets {
                     bounds,
                     deltas,
                     sum,
                     count,
-                } => {
-                    let bounds_s: Vec<String> = bounds.iter().map(|b| fmt_json_f64(*b)).collect();
-                    let deltas_s: Vec<String> = deltas.iter().map(u64::to_string).collect();
-                    out.push_str(&format!(
-                        "\"kind\":\"hist\",\"bounds\":[{}],\"deltas\":[{}],\"sum\":{},\"count\":{count}",
-                        bounds_s.join(","),
-                        deltas_s.join(","),
-                        fmt_json_f64(*sum)
-                    ));
-                }
+                } => members.extend([
+                    ("kind", s("hist")),
+                    ("bounds", nums(bounds)),
+                    ("deltas", counts(deltas)),
+                    ("sum", n(*sum)),
+                    ("count", n(*count as f64)),
+                ]),
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+            obj(members)
+        });
+        obj(vec![
+            ("seq", n(smp.seq as f64)),
+            ("at_ms", n(smp.at_ms as f64)),
+            ("window_secs", n(smp.window_secs)),
+            ("points", Json::Arr(points.collect())),
+        ])
+    };
+    obj(vec![(
+        "samples",
+        Json::Arr(samples.iter().map(sample).collect()),
+    )])
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Decodes a [`samples_to_json`] document back into windows. Lenient
+/// for forward compatibility: points without a name or with an unknown
+/// `kind` are skipped, and a missing or `null` number reads as 0.
+pub fn samples_from_json(doc: &Json) -> Vec<SeriesSample> {
+    fn arr<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+        v.get(key).and_then(Json::as_arr).unwrap_or(&[])
     }
-    out
-}
-
-/// JSON has no Infinity/NaN; clamp the pathological cases to 0 (they
-/// only arise from degenerate windows).
-fn fmt_json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
+    let num = |v: Option<&Json>| v.and_then(Json::as_f64).unwrap_or(0.0);
+    let count = |v: Option<&Json>| v.and_then(Json::as_u64).unwrap_or(0);
+    let point = |p: &Json| {
+        let value = match p.get("kind")?.as_str()? {
+            "rate" => SeriesValue::Rate {
+                delta: count(p.get("delta")),
+                per_sec: num(p.get("per_sec")),
+            },
+            "gauge" => SeriesValue::Point(p.get("value").and_then(Json::as_i64).unwrap_or(0)),
+            "hist" => SeriesValue::Buckets {
+                bounds: arr(p, "bounds").iter().map(|b| num(Some(b))).collect(),
+                deltas: arr(p, "deltas").iter().map(|d| count(Some(d))).collect(),
+                sum: num(p.get("sum")),
+                count: count(p.get("count")),
+            },
+            _ => return None,
+        };
+        Some(SeriesPoint {
+            name: p.get("name")?.as_str()?.to_string(),
+            labels: p
+                .get("labels")
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .to_string(),
+            value,
+        })
+    };
+    arr(doc, "samples")
+        .iter()
+        .map(|smp| SeriesSample {
+            seq: count(smp.get("seq")),
+            at_ms: count(smp.get("at_ms")),
+            window_secs: num(smp.get("window_secs")),
+            points: arr(smp, "points").iter().filter_map(point).collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -487,12 +501,45 @@ mod tests {
         reg.histogram("h_seconds", "H.", &[], &[1.0]).observe(0.5);
         let ring = SeriesRing::new(2);
         ring.sample(&reg);
-        let json = ring.to_json(0, None);
+        let json = ring.to_json(0, None).to_string();
         assert!(json.starts_with("{\"samples\":["), "{json}");
         assert!(json.contains("\"kind\":\"rate\""), "{json}");
         assert!(json.contains("\"kind\":\"hist\""), "{json}");
         // Label quotes are escaped, and no raw newlines leak in.
         assert!(json.contains("{k=\\\"v\\\\\\\"q\\\"}"), "{json}");
         assert!(!json.contains('\n'));
+    }
+
+    #[test]
+    fn json_dump_decodes_to_the_same_samples() {
+        let reg = Registry::new();
+        reg.counter("a_total", "A.", &[("k", "q\"uote\\slash")])
+            .add(3);
+        reg.gauge("depth", "D.", &[]).set(-4);
+        let h = reg.histogram("h_seconds", "H.", &[], &[0.25, 1.5]);
+        h.observe(0.1);
+        h.observe(7.0);
+        let ring = SeriesRing::new(4);
+        ring.sample(&reg);
+        h.observe(0.3);
+        ring.sample(&reg);
+        let samples = ring.window(0, None);
+        assert_eq!(samples.len(), 2);
+        let kinds: Vec<&str> = samples[0]
+            .points
+            .iter()
+            .map(|p| match p.value {
+                SeriesValue::Rate { .. } => "rate",
+                SeriesValue::Point(_) => "gauge",
+                SeriesValue::Buckets { .. } => "hist",
+            })
+            .collect();
+        assert_eq!(kinds, ["rate", "gauge", "hist"], "{samples:?}");
+        assert!(
+            samples[0].points[0].labels.contains("q\\\"uote"),
+            "{samples:?}"
+        );
+        let text = samples_to_json(&samples).to_string();
+        assert_eq!(samples_from_json(&Json::parse(&text).unwrap()), samples);
     }
 }

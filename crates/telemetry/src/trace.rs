@@ -21,6 +21,7 @@
 //! rendering, and a key that varied with the tracer slot would silently
 //! partition the verdict cache per job.
 
+use crate::json::{n, obj, s, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -259,152 +260,87 @@ pub struct TraceData {
     pub wall_start_us: u64,
 }
 
+impl ArgValue {
+    fn to_json(&self) -> Json {
+        match self {
+            ArgValue::U64(x) => n(*x as f64),
+            ArgValue::F64(x) => n(*x),
+            ArgValue::Str(text) => s(text.as_str()),
+            ArgValue::Static(text) => s(*text),
+            ArgValue::Bool(b) => Json::Bool(*b),
+        }
+    }
+}
+
 impl TraceData {
     /// Renders the event list as a Chrome trace-event JSON document
     /// (object format, `ph:"X"` complete events, microsecond clock) that
     /// loads directly in `chrome://tracing` and Perfetto. `process_name`
     /// labels the process row — the job name, typically.
-    pub fn chrome_json(&self, process_name: &str) -> String {
-        let mut out = String::with_capacity(256 + self.events.len() * 128);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(process_name)
-        ));
-        for ev in &self.events {
-            out.push(',');
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{}",
-                json_string(ev.name),
-                ev.phase.label(),
-                ev.ts_us,
-                ev.dur_us,
-                ev.tid
-            ));
-            if !ev.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in ev.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_string(k));
-                    out.push(':');
-                    match v {
-                        ArgValue::U64(n) => out.push_str(&n.to_string()),
-                        ArgValue::F64(x) if x.is_finite() => out.push_str(&format!("{x}")),
-                        ArgValue::F64(_) => out.push_str("null"),
-                        ArgValue::Str(s) => out.push_str(&json_string(s)),
-                        ArgValue::Static(s) => out.push_str(&json_string(s)),
-                        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                    }
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+    pub fn chrome_json(&self, process_name: &str) -> Json {
+        obj(vec![
+            ("displayTimeUnit", s("ms")),
+            ("traceEvents", self.chrome_events(1, process_name, 0)),
+        ])
     }
 
     /// Renders the event list as a bare JSON *array* of Chrome trace
     /// events under process row `pid`, timestamps rebased to absolute
     /// epoch microseconds — the splice-ready half of a stitched
     /// cross-process trace (see [`stitch_chrome_json`]).
-    pub fn chrome_events_json(&self, pid: u32, process_name: &str) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 128);
-        out.push('[');
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(process_name)
-        ));
+    pub fn chrome_events_json(&self, pid: u32, process_name: &str) -> Json {
+        self.chrome_events(pid, process_name, self.wall_start_us as i64)
+    }
+
+    /// The one event writer: a `process_name` metadata event for row
+    /// `pid`, then one complete event per span with `ts` shifted by
+    /// `ts_offset_us`.
+    fn chrome_events(&self, pid: u32, process_name: &str, ts_offset_us: i64) -> Json {
+        let pid = n(pid as f64);
+        let mut events = Vec::with_capacity(1 + self.events.len());
+        events.push(obj(vec![
+            ("name", s("process_name")),
+            ("ph", s("M")),
+            ("pid", pid.clone()),
+            ("tid", n(0.0)),
+            ("args", obj(vec![("name", s(process_name))])),
+        ]));
         for ev in &self.events {
-            out.push(',');
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{}",
-                json_string(ev.name),
-                ev.phase.label(),
-                self.wall_start_us as i64 + ev.ts_us,
-                ev.dur_us,
-                ev.tid
-            ));
+            let mut members = vec![
+                ("name", s(ev.name)),
+                ("cat", s(ev.phase.label())),
+                ("ph", s("X")),
+                ("ts", n((ts_offset_us + ev.ts_us) as f64)),
+                ("dur", n(ev.dur_us as f64)),
+                ("pid", pid.clone()),
+                ("tid", n(ev.tid as f64)),
+            ];
             if !ev.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in ev.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_string(k));
-                    out.push(':');
-                    match v {
-                        ArgValue::U64(n) => out.push_str(&n.to_string()),
-                        ArgValue::F64(x) if x.is_finite() => out.push_str(&format!("{x}")),
-                        ArgValue::F64(_) => out.push_str("null"),
-                        ArgValue::Str(s) => out.push_str(&json_string(s)),
-                        ArgValue::Static(s) => out.push_str(&json_string(s)),
-                        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                    }
-                }
-                out.push('}');
+                let args = ev.args.iter().map(|(k, v)| (*k, v.to_json())).collect();
+                members.push(("args", obj(args)));
             }
-            out.push('}');
+            events.push(obj(members));
         }
-        out.push(']');
-        out
+        Json::Arr(events)
     }
 }
 
 /// Splices event arrays from several processes (each produced by
 /// [`TraceData::chrome_events_json`]) into one Chrome trace-event JSON
-/// document tagged with the shared trace id. Empty or malformed parts
+/// document tagged with the shared trace id. Parts that are not arrays
 /// are skipped rather than corrupting the document.
-pub fn stitch_chrome_json(trace_id_hex: &str, parts: &[&str]) -> String {
-    let mut out = String::with_capacity(128 + parts.iter().map(|p| p.len()).sum::<usize>());
-    out.push_str(&format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceId\":{},\"traceEvents\":[",
-        json_string(trace_id_hex)
-    ));
-    let mut first = true;
-    for part in parts {
-        let inner = part
-            .trim()
-            .strip_prefix('[')
-            .and_then(|p| p.strip_suffix(']'))
-            .unwrap_or("")
-            .trim();
-        if inner.is_empty() {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(inner);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaper (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+pub fn stitch_chrome_json(trace_id_hex: &str, parts: &[&Json]) -> Json {
+    let events = parts
+        .iter()
+        .filter_map(|p| p.as_arr())
+        .flatten()
+        .cloned()
+        .collect();
+    obj(vec![
+        ("displayTimeUnit", s("ms")),
+        ("traceId", s(trace_id_hex)),
+        ("traceEvents", Json::Arr(events)),
+    ])
 }
 
 /// The per-job collection target spans write into.
@@ -809,7 +745,7 @@ mod tests {
         let (inner, outer) = (&data.events[0], &data.events[1]);
         assert!(outer.ts_us <= inner.ts_us);
         assert!(outer.ts_us + outer.dur_us as i64 >= inner.ts_us + inner.dur_us as i64);
-        let json = data.chrome_json("job \"x\"");
+        let json = data.chrome_json("job \"x\"").to_string();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("job \\\"x\\\""), "{json}");
@@ -901,15 +837,63 @@ mod tests {
                 &cd.chrome_events_json(1, "client"),
                 &dd.chrome_events_json(2, "daemon"),
             ],
-        );
+        )
+        .to_string();
         assert!(stitched.contains(&format!("\"traceId\":\"{}\"", ctx.to_hex())));
         assert!(stitched.contains("\"name\":\"submit\""));
         assert!(stitched.contains("\"cat\":\"wp\""));
         assert!(stitched.contains("\"pid\":1"));
         assert!(stitched.contains("\"pid\":2"));
-        // Empty / malformed parts are skipped, never corrupting output.
-        let sparse = stitch_chrome_json("00", &["[]", "not-json", "[{\"a\":1}]"]);
-        assert!(sparse.ends_with("[{\"a\":1}]}"), "{sparse}");
+        // Parts that are not event arrays are skipped, never corrupting
+        // the output.
+        let one = obj(vec![("a", n(1.0))]);
+        let sparse = stitch_chrome_json(
+            "00",
+            &[
+                &Json::Arr(vec![]),
+                &s("not-an-array"),
+                &Json::Arr(vec![one]),
+            ],
+        );
+        assert!(sparse.to_string().ends_with("[{\"a\":1}]}"), "{sparse}");
+    }
+
+    #[test]
+    fn single_part_stitch_carries_the_chrome_json_events() {
+        let t = Tracer::create(true);
+        {
+            let mut outer = t.span(Phase::Wp, "seq");
+            outer.arg("path", ArgValue::Str("0".into()));
+            outer.arg("margin", ArgValue::F64(f64::NAN));
+            let _inner = t.span(Phase::Solver, "obligation");
+        }
+        let data = t.finish().expect("live sink");
+        let local = data.chrome_json("job");
+        let stitched = stitch_chrome_json("00ff", &[&data.chrome_events_json(1, "job")]);
+        let events = |doc: &Json| doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
+        let (local, stitched) = (events(&local), events(&stitched));
+        assert_eq!(local.len(), 3, "metadata row plus two spans");
+        assert_eq!(local.len(), stitched.len());
+        let rebase = data.wall_start_us as f64;
+        for (a, b) in local.iter().zip(&stitched) {
+            let ts = |e: &Json| e.get("ts").and_then(Json::as_f64);
+            match (ts(a), ts(b)) {
+                (Some(x), Some(y)) => assert_eq!(x + rebase, y, "{a} vs {b}"),
+                (x, y) => assert_eq!(x, y, "only span events carry ts"),
+            }
+            let strip = |e: &Json| match e {
+                Json::Obj(m) => Json::Obj(m.iter().filter(|(k, _)| k != "ts").cloned().collect()),
+                other => other.clone(),
+            };
+            // Compared as rendered text: the NaN argument is not equal
+            // to itself as a value, but writes as `null` on both sides.
+            assert_eq!(strip(a).to_string(), strip(b).to_string());
+        }
+        assert!(
+            local[2].to_string().contains("\"margin\":null"),
+            "{}",
+            local[2]
+        );
     }
 
     #[test]
