@@ -24,8 +24,8 @@
 
 use nqpv_lang::AssertionExpr;
 use nqpv_linalg::{
-    apply_gate_columns, conjugate_gate, deposit_bits, embed, embed_factor, factor_recompress, gram,
-    hconcat, low_rank_factor, CMat,
+    apply_adjoint_gate_columns, apply_gate_columns, conjugate_gate, deposit_bits, embed,
+    embed_factor, factor_recompress, gram, hconcat, low_rank_factor, CMat,
 };
 use nqpv_quantum::{OperatorLibrary, Register, SuperOp};
 use nqpv_solver::{assertion_le, factored_lowner_le, LownerOptions, Verdict};
@@ -466,8 +466,8 @@ impl Assertion {
     /// `positions`: dense predicates run the strided conjugation,
     /// factored ones map their factor through one gate sweep
     /// (`U_S†·V` — rank and width unchanged, no recompression needed).
+    /// Both read `U` in place: no `U†` copy per statement.
     pub fn wp_unitary(&self, u: &CMat, positions: &[usize], n: usize) -> Assertion {
-        let ua = u.adjoint();
         Assertion {
             dim: self.dim,
             ops: self
@@ -479,7 +479,7 @@ impl Assertion {
                     }
                     Predicate::Factored(f) => {
                         let mut v = f.v.clone();
-                        apply_gate_columns(&ua, positions, n, &mut v);
+                        apply_adjoint_gate_columns(u, positions, n, &mut v);
                         Predicate::Factored(Factor::new(v))
                     }
                 })

@@ -26,5 +26,5 @@ mod pretty;
 
 pub use ast::{AssertionExpr, Command, Decl, OpApp, ProofTerm, QTuple, SourceFile, Stmt};
 pub use lexer::{lex, LexError, Span, Tok, Token};
-pub use parser::{parse_proof_body, parse_source, parse_stmt, ParseError};
+pub use parser::{parse_proof_body, parse_source, parse_stmt, ParseError, MAX_NESTING};
 pub use pretty::{pretty_assertion, pretty_proof_term, pretty_source, pretty_stmt};

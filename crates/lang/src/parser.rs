@@ -22,10 +22,17 @@
 //! An `{ inv: … }` assertion must immediately precede a `while` in the same
 //! sequence; it is attached to the loop. A top-level proof body must end
 //! with a postcondition assertion, and may start with a precondition.
+//! Parenthesised, `if` and `while` bodies nest at most [`MAX_NESTING`]
+//! levels deep.
 
 use crate::ast::{AssertionExpr, Command, Decl, OpApp, ProofTerm, SourceFile, Stmt};
 use crate::lexer::{lex, LexError, Span, Tok, Token};
 use std::fmt;
+
+/// Deepest nesting of parenthesised, `if` and `while` bodies the parser
+/// accepts. Deeper input is a [`ParseError`], so a hostile source cannot
+/// exhaust the stack of this recursive-descent parser.
+pub const MAX_NESTING: usize = 128;
 
 /// Parse errors with source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,11 +138,17 @@ enum Element {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Bodies currently open around the parse position.
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn at_end(&self) -> bool {
@@ -290,6 +303,20 @@ impl Parser {
         Ok(Stmt::ndet_all(branches))
     }
 
+    /// A [`Parser::body`] nested inside `(`, `if` or `while`, refused past
+    /// [`MAX_NESTING`] levels.
+    fn nested_body(&mut self) -> Result<Stmt, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here(&format!(
+                "statements nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let body = self.body();
+        self.depth -= 1;
+        body
+    }
+
     fn seqlist_lowered(&mut self) -> Result<Stmt, ParseError> {
         let elements = self.seqlist()?;
         lower_elements(elements)
@@ -347,9 +374,9 @@ impl Parser {
                 self.bump();
                 let m = self.opapp()?;
                 self.eat(&Tok::Then)?;
-                let then_branch = self.body()?;
+                let then_branch = self.nested_body()?;
                 let else_branch = if self.check(&Tok::Else) {
-                    self.body()?
+                    self.nested_body()?
                 } else {
                     Stmt::Skip
                 };
@@ -365,7 +392,7 @@ impl Parser {
                 self.bump();
                 let m = self.opapp()?;
                 self.eat(&Tok::Do)?;
-                let body = self.body()?;
+                let body = self.nested_body()?;
                 self.eat(&Tok::End)?;
                 Ok(Stmt::While {
                     meas: m.op,
@@ -376,7 +403,7 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let inner = self.body()?;
+                let inner = self.nested_body()?;
                 self.eat(&Tok::RParen)?;
                 Ok(inner)
             }
@@ -619,6 +646,39 @@ show pf end
     fn omitted_precondition_is_allowed() {
         let term = parse_proof_body(&["q"], "[q] *= H; { I[q] }").unwrap();
         assert!(term.pre.is_none());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| {
+            format!(
+                "{}[q] *= H{} ; {{ I[q] }}",
+                "( ".repeat(depth),
+                " )".repeat(depth)
+            )
+        };
+        assert!(parse_proof_body(&["q"], &nest(MAX_NESTING)).is_ok());
+        let err = parse_proof_body(&["q"], &nest(MAX_NESTING + 1)).unwrap_err();
+        assert!(
+            err.message.contains("nested deeper than 128 levels"),
+            "{err}"
+        );
+        let err = parse_proof_body(&["q"], &"(".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // `if` and `while` bodies count towards the same cap.
+        let ifs = format!(
+            "{}skip{} ; {{ I[q] }}",
+            "if M01[q] then ".repeat(MAX_NESTING + 1),
+            " end".repeat(MAX_NESTING + 1)
+        );
+        let err = parse_proof_body(&["q"], &ifs).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let whiles = format!(
+            "{}skip{} ; {{ I[q] }}",
+            "while M01[q] do ".repeat(MAX_NESTING),
+            " end".repeat(MAX_NESTING)
+        );
+        assert!(parse_proof_body(&["q"], &whiles).is_ok());
     }
 
     #[test]

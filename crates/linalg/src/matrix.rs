@@ -7,12 +7,27 @@
 
 use crate::complex::{cr, Complex, TOL};
 use std::fmt;
+use std::ops::Range;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Inner-dimension tile for [`CMat::mul`]: a 64-row block of the right
 /// operand (64·cols complex entries, 1 KiB per 64 columns) stays
 /// cache-resident while every output row in the chunk streams over it.
 const MUL_BLOCK_K: usize = 64;
+
+/// Rows of `A†A` per panel in [`CMat::is_unitary`]: a non-unitary matrix
+/// is usually rejected after the first one.
+const GRAM_PANEL: usize = 32;
+
+/// Columns of `A†A` per accumulator block in [`CMat::is_unitary`], so the
+/// `GRAM_PANEL × GRAM_BLOCK_J` block stays in cache while every row of
+/// `A` streams past it.
+const GRAM_BLOCK_J: usize = 128;
+
+/// Rows of `A` whose terms one pass of the real Gram kernel adds to each
+/// accumulator entry.
+const GRAM_K: usize = 4;
 
 /// A dense complex column vector.
 ///
@@ -434,13 +449,145 @@ impl CMat {
         true
     }
 
+    /// `true` if `A = I` within `tol`: the same answer as
+    /// `approx_eq(&CMat::identity(n), tol)`, without building the identity.
+    pub fn is_identity(&self, tol: f64) -> bool {
+        self.is_square()
+            && self.data.iter().enumerate().all(|(at, z)| {
+                let delta = if at % (self.cols + 1) == 0 { 1.0 } else { 0.0 };
+                z.approx_eq(cr(delta), tol)
+            })
+    }
+
     /// `true` if `A†A = I` within `tol`.
+    ///
+    /// The answer is that of `self.adjoint().mul(self).approx_eq(&I, tol)`
+    /// with no `d×d` temporary and half its arithmetic. `A†A` is
+    /// hermitian, so only its upper triangle is formed, 32 rows
+    /// (`GRAM_PANEL`) at a time, streaming the rows of `A`. Each entry accumulates
+    /// its `k` terms from zero in ascending order with `mul`'s exact-zero
+    /// skip, so it equals `mul`'s entry bit for bit; the lower triangle
+    /// mirrors it up to the sign of zeros, and a non-finite entry of `A`
+    /// already fails its column's diagonal. The first panel that misses
+    /// `δᵢⱼ` ends the check. When every entry is finite and real, the
+    /// panels run in `f64`: the real parts are the same values and the
+    /// imaginary parts are exactly zero, so the answer is unchanged.
     pub fn is_unitary(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }
-        let prod = self.adjoint().mul(self);
-        prod.approx_eq(&CMat::identity(self.rows), tol)
+        let d = self.rows;
+        let real = self.data.iter().all(|z| z.im == 0.0 && z.re.is_finite());
+        let failed = AtomicBool::new(false);
+        let panel_work = (GRAM_PANEL * d).saturating_mul(d / 2 + 1);
+        crate::par::sweep(d.div_ceil(GRAM_PANEL), panel_work, |panels| {
+            for p in panels {
+                if failed.load(Ordering::Relaxed) {
+                    return;
+                }
+                let i0 = p * GRAM_PANEL;
+                let ok = if real {
+                    self.gram_panel_is_identity_real(i0, tol)
+                } else {
+                    self.gram_panel_is_identity(i0, tol)
+                };
+                if !ok {
+                    failed.store(true, Ordering::Relaxed);
+                    return;
+                }
+            }
+        });
+        !failed.load(Ordering::Relaxed)
+    }
+
+    /// Rows `i0..i0 + GRAM_PANEL` of the upper triangle of `A†A`, one
+    /// [`GRAM_BLOCK_J`]-column block at a time, compared against `δᵢⱼ`.
+    /// The arithmetic is `mul`'s for `adjoint().mul(self)`.
+    fn gram_panel_is_identity(&self, i0: usize, tol: f64) -> bool {
+        let d = self.rows;
+        let i1 = d.min(i0 + GRAM_PANEL);
+        let pitch = GRAM_BLOCK_J.min(d - i0);
+        let mut acc = vec![Complex::ZERO; (i1 - i0) * pitch];
+        for j0 in (i0..d).step_by(GRAM_BLOCK_J) {
+            let j1 = d.min(j0 + GRAM_BLOCK_J);
+            acc.fill(Complex::ZERO);
+            for k in 0..d {
+                let row = self.row(k);
+                for i in i0..i1 {
+                    let a = row[i].conj();
+                    // Skip exact (±0) zeros only — see `Complex::is_exact_zero`.
+                    if a.is_exact_zero() {
+                        continue;
+                    }
+                    let lo = i.max(j0);
+                    let out = &mut acc[(i - i0) * pitch..][lo - j0..j1 - j0];
+                    for (o, r) in out.iter_mut().zip(&row[lo..j1]) {
+                        *o += a * *r;
+                    }
+                }
+            }
+            if !gram_block_is_identity(&acc, pitch, i0..i1, j0..j1, tol) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// [`CMat::gram_panel_is_identity`] for a finite real matrix, in
+    /// `f64`. Rows of `A` go in groups of [`GRAM_K`]: their real parts
+    /// are copied into one contiguous block, and each accumulator entry
+    /// takes the group's terms in one pass, still in ascending `k`. A
+    /// group is skipped when all its `A[k][i]` are zero; inside a group,
+    /// a zero term is added rather than skipped, which cannot change a
+    /// finite sum that starts from `+0.0`.
+    fn gram_panel_is_identity_real(&self, i0: usize, tol: f64) -> bool {
+        let d = self.rows;
+        let i1 = d.min(i0 + GRAM_PANEL);
+        let pitch = GRAM_BLOCK_J.min(d - i0);
+        let mut acc = vec![0.0; (i1 - i0) * pitch];
+        let mut rows_re = vec![0.0; GRAM_K * pitch];
+        for j0 in (i0..d).step_by(GRAM_BLOCK_J) {
+            let j1 = d.min(j0 + GRAM_BLOCK_J);
+            let w = j1 - j0;
+            acc.fill(0.0);
+            for k0 in (0..d).step_by(GRAM_K) {
+                let kn = GRAM_K.min(d - k0);
+                for (t, dst) in rows_re.chunks_exact_mut(pitch).take(kn).enumerate() {
+                    for (x, z) in dst.iter_mut().zip(&self.row(k0 + t)[j0..j1]) {
+                        *x = z.re;
+                    }
+                }
+                for i in i0..i1 {
+                    let mut a = [0.0; GRAM_K];
+                    for (t, at) in a.iter_mut().take(kn).enumerate() {
+                        *at = self[(k0 + t, i)].re;
+                    }
+                    if a.iter().all(|&x| x == 0.0) {
+                        continue;
+                    }
+                    let lo = i.max(j0) - j0;
+                    let out = &mut acc[(i - i0) * pitch..][lo..w];
+                    let r = |t: usize| &rows_re[t * pitch..][lo..w];
+                    if kn == GRAM_K {
+                        for ((((o, x0), x1), x2), x3) in
+                            out.iter_mut().zip(r(0)).zip(r(1)).zip(r(2)).zip(r(3))
+                        {
+                            *o = *o + a[0] * x0 + a[1] * x1 + a[2] * x2 + a[3] * x3;
+                        }
+                    } else {
+                        for (t, &at) in a.iter().take(kn).enumerate() {
+                            for (o, x) in out.iter_mut().zip(r(t)) {
+                                *o += at * x;
+                            }
+                        }
+                    }
+                }
+            }
+            if !gram_block_is_identity(&acc, pitch, i0..i1, j0..j1, tol) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Hermitian part `(A + A†)/2`; useful to repair rounding drift.
@@ -622,6 +769,25 @@ impl CMat {
         }
         h
     }
+}
+
+/// `true` if the upper-triangle part (`j ≥ i`) of a Gram block, stored
+/// row-major `pitch` entries apart, is within `tol` of `δᵢⱼ`, compared
+/// as [`CMat::approx_eq`] compares entries.
+fn gram_block_is_identity<T: Copy + Into<Complex>>(
+    acc: &[T],
+    pitch: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    tol: f64,
+) -> bool {
+    rows.clone().all(|i| {
+        let out = &acc[(i - rows.start) * pitch..];
+        (i.max(cols.start)..cols.end).all(|j| {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            out[j - cols.start].into().approx_eq(cr(delta), tol)
+        })
+    })
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -852,6 +1018,30 @@ mod tests {
         let not_h = CMat::from_real(2, 2, &[0.0, 1.0, 0.0, 0.0]);
         assert!(!not_h.is_hermitian(TOL));
         assert!(!not_h.is_unitary(TOL));
+    }
+
+    #[test]
+    fn is_identity_matches_comparison_with_a_built_identity() {
+        let reference = |m: &CMat, tol: f64| m.approx_eq(&CMat::identity(m.rows()), tol);
+        let mut near = CMat::identity(3);
+        near[(2, 2)] = c(1.0 + 1e-13, -1e-13);
+        let mut off = CMat::identity(3);
+        off[(0, 2)] = c(0.0, 1e-9);
+        let cases = [
+            CMat::identity(0),
+            CMat::identity(4),
+            near,
+            off,
+            CMat::identity(2).scale_re(-1.0),
+            CMat::zeros(2, 3),
+            CMat::from_fn(3, 3, |i, j| c(f64::NAN, (i + j) as f64)),
+        ];
+        for m in &cases {
+            for tol in [0.0, 1e-12, 1e-8] {
+                assert_eq!(m.is_identity(tol), reference(m, tol), "{m:?} at {tol}");
+            }
+        }
+        assert!(cases[2].is_identity(1e-12) && !cases[2].is_identity(0.0));
     }
 
     #[test]

@@ -123,6 +123,47 @@ fn deposit_sub_index(x: usize, positions: &[usize], n: usize) -> usize {
     i
 }
 
+/// How a gate sweep reads its `dk×dk` gate `G`: the operator it applies
+/// is `G`, `conj(G)`, `G†` or `Gᵀ`. Reading in place spares the `dk×dk`
+/// copy that `gate.conj()` or `gate.adjoint()` would make on every call —
+/// 16 MiB for a full-width 10-qubit gate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum GateRead {
+    /// `G`.
+    AsGiven,
+    /// `conj(G)`: `row · G†` as a left action on the row.
+    Conj,
+    /// `G† = conj(Gᵀ)`.
+    Adjoint,
+    /// `Gᵀ`: `row · G` as a left action on the row.
+    Transpose,
+}
+
+/// `out[x] = Σ_y f(G[x][y])·v[y]`, each sum from zero in ascending `y`.
+#[inline]
+fn rows_times(gate: &CMat, f: impl Fn(Complex) -> Complex, v: &[Complex], out: &mut [Complex]) {
+    for (x, o) in out.iter_mut().enumerate() {
+        let mut acc = Complex::ZERO;
+        for (g, vy) in gate.row(x).iter().zip(v) {
+            acc += f(*g) * *vy;
+        }
+        *o = acc;
+    }
+}
+
+/// `out[x] = Σ_y f(G[y][x])·v[y]`, each sum from zero in ascending `y`,
+/// streaming `G` row by row. With `f = conj` this is `G†·v` in exactly
+/// the order [`rows_times`] would take on a `G.adjoint()` copy.
+#[inline]
+fn cols_times(gate: &CMat, f: impl Fn(Complex) -> Complex, v: &[Complex], out: &mut [Complex]) {
+    out.fill(Complex::ZERO);
+    for (y, vy) in v.iter().enumerate() {
+        for (o, g) in out.iter_mut().zip(gate.row(y)) {
+            *o += f(*g) * *vy;
+        }
+    }
+}
+
 /// Precomputed index plan for applying a `k`-qubit gate inside an
 /// `n`-qubit space: the "rest" qubit shifts and the sub-index deposits.
 /// Building it once per gate application (instead of once per matrix row,
@@ -162,33 +203,12 @@ impl GatePlan {
         }
     }
 
-    /// Applies `gate` to the virtual vector `v[t] = data[offset + t·stride]`,
-    /// `t ∈ 0..2^n`, in place, using `gathered` as scratch (length `dk`).
-    fn run(
-        &self,
-        gate: &CMat,
-        data: &mut [Complex],
-        offset: usize,
-        stride: usize,
-        gathered: &mut [Complex],
-    ) {
-        // SAFETY: the unique borrow guarantees validity and exclusivity.
-        unsafe {
-            self.run_raw(
-                gate,
-                data.as_mut_ptr(),
-                data.len(),
-                offset,
-                stride,
-                gathered,
-            )
-        }
-    }
-
-    /// [`GatePlan::run`] over a raw element pointer, so the threaded
-    /// sweeps can share one buffer across chunks with provably disjoint
-    /// index sets (each virtual vector touches `offset + t·stride` only —
-    /// distinct offsets with a common stride never collide).
+    /// Applies `gate`, read as `read` says, to the virtual vector
+    /// `v[t] = data[offset + t·stride]`, `t ∈ 0..2^n`, in place, using
+    /// `scratch` (length `2·dk`) for the gathered and the new amplitudes.
+    /// The threaded sweeps share one buffer across chunks with provably
+    /// disjoint index sets (each virtual vector touches `offset + t·stride`
+    /// only — distinct offsets with a common stride never collide).
     ///
     /// The floating-point operations and their order are exactly those of
     /// the serial kernel: every output element is gathered, multiplied and
@@ -197,19 +217,22 @@ impl GatePlan {
     ///
     /// # Safety
     ///
-    /// `data` must be valid for reads and writes of `len` elements for the
-    /// duration of the call, and the index set this call touches must be
+    /// `data` must wrap a slice that stays uniquely borrowed for the
+    /// duration of the call, every index `offset + t·stride` (`t < 2^n`)
+    /// must lie inside it, and the index set this call touches must be
     /// disjoint from that of every concurrent call on the same buffer.
     unsafe fn run_raw(
         &self,
         gate: &CMat,
-        data: *mut Complex,
-        len: usize,
+        read: GateRead,
+        data: &SharedMut<Complex>,
         offset: usize,
         stride: usize,
-        gathered: &mut [Complex],
+        scratch: &mut [Complex],
     ) {
         debug_assert_eq!(gate.rows(), self.dk);
+        let (len, data) = (data.len(), data.ptr());
+        let (gathered, out) = scratch[..2 * self.dk].split_at_mut(self.dk);
         for r in 0..self.rest_count {
             // Spread the bits of r into the rest positions.
             let mut base = 0usize;
@@ -217,19 +240,21 @@ impl GatePlan {
                 let b = (r >> (self.rest_shifts.len() - 1 - bi)) & 1;
                 base |= b << sh;
             }
-            for (x, g) in gathered.iter_mut().enumerate().take(self.dk) {
+            for (x, g) in gathered.iter_mut().enumerate() {
                 let idx = offset + (base | self.sub_deposits[x]) * stride;
                 debug_assert!(idx < len);
                 *g = *data.add(idx);
             }
-            for x in 0..self.dk {
-                let mut acc = Complex::ZERO;
-                for y in 0..self.dk {
-                    acc += gate[(x, y)] * gathered[y];
-                }
+            match read {
+                GateRead::AsGiven => rows_times(gate, |g| g, gathered, out),
+                GateRead::Conj => rows_times(gate, Complex::conj, gathered, out),
+                GateRead::Adjoint => cols_times(gate, Complex::conj, gathered, out),
+                GateRead::Transpose => cols_times(gate, |g| g, gathered, out),
+            }
+            for (x, o) in out.iter().enumerate() {
                 let idx = offset + (base | self.sub_deposits[x]) * stride;
                 debug_assert!(idx < len);
-                *data.add(idx) = acc;
+                *data.add(idx) = *o;
             }
         }
     }
@@ -248,6 +273,7 @@ impl GatePlan {
 fn sweep_strided(
     plan: &GatePlan,
     gate: &CMat,
+    read: GateRead,
     data: &mut [Complex],
     count: usize,
     stride: usize,
@@ -255,21 +281,12 @@ fn sweep_strided(
 ) {
     let shared = SharedMut::new(data);
     par::sweep(count, plan.sweep_work(), |range| {
-        let mut gathered = vec![Complex::ZERO; plan.dk];
+        let mut scratch = vec![Complex::ZERO; 2 * plan.dk];
         for j in range {
             // SAFETY: `shared` wraps a live unique borrow; chunk `j`
             // ranges are disjoint and each `j` touches only indices
             // `offset_of(j) + t·stride`, distinct across `j`.
-            unsafe {
-                plan.run_raw(
-                    gate,
-                    shared.ptr(),
-                    shared.len(),
-                    offset_of(j),
-                    stride,
-                    &mut gathered,
-                )
-            }
+            unsafe { plan.run_raw(gate, read, &shared, offset_of(j), stride, &mut scratch) }
         }
     });
 }
@@ -285,8 +302,15 @@ pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) 
     validate_positions(positions, n);
     assert_eq!(gate.rows(), 1usize << positions.len(), "gate size mismatch");
     let plan = GatePlan::new(positions, n);
-    let mut gathered = vec![Complex::ZERO; plan.dk];
-    plan.run(gate, v.as_mut_slice(), 0, 1, &mut gathered);
+    sweep_strided(
+        &plan,
+        gate,
+        GateRead::AsGiven,
+        v.as_mut_slice(),
+        1,
+        1,
+        |_| 0,
+    );
 }
 
 /// Left-multiplies an embedded gate into every **column** of a `2^n × r`
@@ -298,6 +322,17 @@ pub fn apply_gate_vec(gate: &CMat, positions: &[usize], n: usize, v: &mut CVec) 
 /// [`crate::par::kernel_threads`] > 1 and the sweep is large enough;
 /// results are bitwise identical for every thread count.
 pub fn apply_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
+    sweep_columns(gate, GateRead::AsGiven, positions, n, v);
+}
+
+/// [`apply_gate_columns`] with the adjoint: `V ← G_S† · V`, reading `G`
+/// in place. Bitwise equal to `apply_gate_columns(&gate.adjoint(), …)`
+/// at every thread count.
+pub fn apply_adjoint_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CMat) {
+    sweep_columns(gate, GateRead::Adjoint, positions, n, v);
+}
+
+fn sweep_columns(gate: &CMat, read: GateRead, positions: &[usize], n: usize, v: &mut CMat) {
     let d = 1usize << n;
     assert_eq!(v.rows(), d, "factor height mismatch");
     validate_positions(positions, n);
@@ -308,7 +343,7 @@ pub fn apply_gate_columns(gate: &CMat, positions: &[usize], n: usize, v: &mut CM
     }
     let plan = GatePlan::new(positions, n);
     // Column j occupies indices j + t·r (t < d): disjoint across columns.
-    sweep_strided(&plan, gate, v.as_mut_slice(), r, r, |j| j);
+    sweep_strided(&plan, gate, read, v.as_mut_slice(), r, r, |j| j);
 }
 
 /// Left-multiplies an embedded gate into a `2^n × 2^n` matrix in place:
@@ -319,7 +354,15 @@ pub fn apply_gate_left(gate: &CMat, positions: &[usize], n: usize, m: &mut CMat)
     assert_eq!(m.cols(), d, "matrix dimension mismatch");
     validate_positions(positions, n);
     let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, m.as_mut_slice(), d, d, |j| j);
+    sweep_strided(
+        &plan,
+        gate,
+        GateRead::AsGiven,
+        m.as_mut_slice(),
+        d,
+        d,
+        |j| j,
+    );
 }
 
 /// Right-multiplies the adjoint of an embedded gate into a matrix in place:
@@ -331,9 +374,10 @@ pub fn apply_gate_right_adjoint(gate: &CMat, positions: &[usize], n: usize, m: &
     assert_eq!(m.cols(), d, "matrix dimension mismatch");
     validate_positions(positions, n);
     // row · G† viewed as a left action of conj(G) on the row vector.
-    let gc = gate.conj();
     let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, &gc, m.as_mut_slice(), d, 1, |i| i * d);
+    sweep_strided(&plan, gate, GateRead::Conj, m.as_mut_slice(), d, 1, |i| {
+        i * d
+    });
 }
 
 /// Schrödinger-picture conjugation `M ← G_S · M · G_S†` without
@@ -341,23 +385,43 @@ pub fn apply_gate_right_adjoint(gate: &CMat, positions: &[usize], n: usize, m: &
 /// shared by the left and right sweeps; each sweep runs column- (then
 /// row-)parallel with a barrier between them.
 pub fn conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
+    conjugate_with(gate, GateRead::AsGiven, GateRead::Conj, positions, n, m)
+}
+
+/// Heisenberg-picture conjugation `M ← G_S† · M · G_S` (e.g. `U†MU`,
+/// the (Unit) rule of the proof system), reading `G` in place. Bitwise
+/// equal to `conjugate_gate(&gate.adjoint(), …)` at every thread count.
+pub fn adjoint_conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
+    conjugate_with(
+        gate,
+        GateRead::Adjoint,
+        GateRead::Transpose,
+        positions,
+        n,
+        m,
+    )
+}
+
+/// `M ← A · M · B` for the embedded gate read as `left` (column sweep,
+/// `A`) and as `right` (row sweep, the left action on each row that
+/// right-multiplies it by `B`).
+fn conjugate_with(
+    gate: &CMat,
+    left: GateRead,
+    right: GateRead,
+    positions: &[usize],
+    n: usize,
+    m: &CMat,
+) -> CMat {
     let d = 1usize << n;
     assert_eq!(m.rows(), d, "matrix dimension mismatch");
     assert_eq!(m.cols(), d, "matrix dimension mismatch");
     validate_positions(positions, n);
     let mut out = m.clone();
     let plan = GatePlan::new(positions, n);
-    sweep_strided(&plan, gate, out.as_mut_slice(), d, d, |j| j);
-    let gc = gate.conj();
-    sweep_strided(&plan, &gc, out.as_mut_slice(), d, 1, |i| i * d);
+    sweep_strided(&plan, gate, left, out.as_mut_slice(), d, d, |j| j);
+    sweep_strided(&plan, gate, right, out.as_mut_slice(), d, 1, |i| i * d);
     out
-}
-
-/// Heisenberg-picture conjugation `M ← G_S† · M · G_S` (e.g. `U†MU`,
-/// the (Unit) rule of the proof system).
-pub fn adjoint_conjugate_gate(gate: &CMat, positions: &[usize], n: usize, m: &CMat) -> CMat {
-    let ga = gate.adjoint();
-    conjugate_gate(&ga, positions, n, m)
 }
 
 /// Partial trace over the qubits in `traced`, returning an operator on the

@@ -8,10 +8,11 @@
 //!    certificate — on near-boundary operators it abstains instead.
 
 use nqpv_linalg::{
-    adjoint_conjugate_gate, apply_gate_columns, c, conjugate_gate, eigh, gram, is_psd_pivoted, par,
-    screen_psd_f32, CMat, ScreenVerdict,
+    adjoint_conjugate_gate, apply_adjoint_gate_columns, apply_gate_columns, c, conjugate_gate,
+    eigh, gram, is_psd_pivoted, par, screen_psd_f32, CMat, ScreenVerdict,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Mutex;
 
 /// Serialises knob-twiddling tests against each other. Other concurrent
@@ -115,6 +116,41 @@ fn gram_reference(a: &CMat, b: &CMat) -> CMat {
 /// Non-contiguous / reversed 2-qubit footprints on a 4-qubit register.
 const FOOTPRINTS: [[usize; 2]; 4] = [[0, 2], [3, 1], [1, 3], [2, 0]];
 
+/// Full-width footprints on a 4-qubit register, in order and permuted.
+const FULL_FOOTPRINTS: [[usize; 4]; 2] = [[0, 1, 2, 3], [3, 1, 0, 2]];
+
+/// The in-place adjoint sweeps against the same sweeps run on a
+/// `gate.adjoint()` copy (serial), at 1, 2 and 7 threads.
+fn adjoint_sweeps_match_the_copy(
+    gate: &CMat,
+    pos: &[usize],
+    op: &CMat,
+    factor: &CMat,
+) -> Result<(), TestCaseError> {
+    let copy = with_threads(1, || {
+        let ga = gate.adjoint();
+        let mut cols = factor.clone();
+        apply_gate_columns(&ga, pos, 4, &mut cols);
+        (cols, conjugate_gate(&ga, pos, 4, op))
+    });
+    for threads in [1usize, 2, 7] {
+        let in_place = with_threads(threads, || {
+            let mut cols = factor.clone();
+            apply_adjoint_gate_columns(gate, pos, 4, &mut cols);
+            (cols, adjoint_conjugate_gate(gate, pos, 4, op))
+        });
+        prop_assert!(
+            bits_eq(&copy.0, &in_place.0),
+            "columns {pos:?}, {threads} threads"
+        );
+        prop_assert!(
+            bits_eq(&copy.1, &in_place.1),
+            "conjugate {pos:?}, {threads} threads"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -149,6 +185,19 @@ proptest! {
             prop_assert!(bits_eq(&serial.1, &threaded.1), "conjugate, {threads} threads");
             prop_assert!(bits_eq(&serial.2, &threaded.2), "adjoint conjugate, {threads} threads");
         }
+    }
+
+    #[test]
+    fn adjoint_sweeps_match_sweeps_of_the_adjoint_copy_bitwise(
+        gate in cmat(4, 4),
+        wide in cmat(16, 16),
+        op in cmat(16, 16),
+        factor in cmat(16, 5),
+        fp in 0usize..FOOTPRINTS.len(),
+        full in 0usize..FULL_FOOTPRINTS.len(),
+    ) {
+        adjoint_sweeps_match_the_copy(&gate, &FOOTPRINTS[fp], &op, &factor)?;
+        adjoint_sweeps_match_the_copy(&wide, &FULL_FOOTPRINTS[full], &op, &factor)?;
     }
 
     #[test]

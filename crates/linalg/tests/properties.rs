@@ -2,8 +2,8 @@
 //! every downstream verification step silently relies on.
 
 use nqpv_linalg::{
-    c, cholesky, eigh, embed, is_psd, partial_trace, read_matrix_bytes, write_matrix_bytes, CMat,
-    CVec,
+    c, cholesky, cr, eigh, embed, is_psd, partial_trace, read_matrix_bytes, write_matrix_bytes,
+    CMat, CVec,
 };
 use proptest::prelude::*;
 
@@ -17,6 +17,47 @@ fn cmat(dim: usize) -> impl Strategy<Value = CMat> {
 /// Strategy: a random hermitian matrix.
 fn hermitian(dim: usize) -> impl Strategy<Value = CMat> {
     cmat(dim).prop_map(|g| g.add_mat(&g.adjoint()).scale_re(0.5))
+}
+
+/// Dimensions for the unitarity checks: below, at and across the Gram
+/// kernel's 32-row panels, 4-row groups and 128-column blocks.
+const UNITARY_DIMS: [usize; 9] = [1, 2, 3, 5, 8, 31, 33, 67, 130];
+
+/// The tolerance `OperatorLibrary` validates unitaries with.
+const UNITARY_TOL: f64 = 1e-8;
+
+/// The dense reference for `is_unitary`: `A†A` against the identity.
+fn unitary_reference(m: &CMat, tol: f64) -> bool {
+    m.adjoint().mul(m).approx_eq(&CMat::identity(m.rows()), tol)
+}
+
+/// A `dim × dim` unitary from the random entries `xs`: two Householder
+/// reflections `I − 2vv†/‖v‖²` (dense), then, when `sparse`, a Kronecker
+/// factor of X so half the entries are exact zeros. Real when `complex`
+/// is false.
+fn random_unitary(dim: usize, xs: &[(f64, f64)], complex: bool, sparse: bool) -> CMat {
+    let half = if sparse && dim.is_multiple_of(2) {
+        dim / 2
+    } else {
+        dim
+    };
+    let mut u = CMat::identity(half);
+    for v in xs.chunks_exact(half).take(2) {
+        let v = CVec::new(
+            v.iter()
+                .map(|&(re, im)| c(re, if complex { im } else { 0.0 }))
+                .collect(),
+        );
+        let n2 = v.norm().powi(2);
+        if n2 > 1e-6 {
+            u = u.mul(&CMat::identity(half).sub_mat(&v.projector().scale_re(2.0 / n2)));
+        }
+    }
+    if half == dim {
+        u
+    } else {
+        u.kron(&CMat::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0]))
+    }
 }
 
 proptest! {
@@ -113,5 +154,80 @@ proptest! {
         // h ⊑ h + GG† always.
         let psd = g.mul(&g.adjoint());
         prop_assert!(nqpv_linalg::lowner_le(&h, &h.add_mat(&psd), 1e-8));
+    }
+
+    #[test]
+    fn is_unitary_matches_the_dense_reference_near_the_tolerance(
+        di in 0usize..UNITARY_DIMS.len(),
+        xs in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 260),
+        kind in 0usize..4,
+        at in (0usize..1000, 0usize..1000),
+    ) {
+        let dim = UNITARY_DIMS[di];
+        let complex = kind % 2 == 1;
+        let u = random_unitary(dim, &xs, complex, kind >= 2);
+        prop_assert!(unitary_reference(&u, UNITARY_TOL));
+        prop_assert!(u.is_unitary(UNITARY_TOL));
+        prop_assume!(dim >= 2);
+        // One entry above and one below the diagonal.
+        let (i, j) = (at.0 % (dim - 1), at.1 % (dim - 1));
+        let upper = (i, i + 1 + j % (dim - 1 - i));
+        let lower = (upper.1, upper.0);
+        for entry in [upper, lower] {
+            for s in [0.5, 2.0] {
+                let eps = s * UNITARY_TOL;
+                let z = u[entry];
+                // An additive nudge, and a relative one that moves the
+                // diagonal of A†A by about `eps` — right at the tolerance.
+                let rel = if z.abs() > 1e-3 { z.scale(eps / (2.0 * z.norm_sqr())) } else { cr(eps) };
+                for nudge in [cr(eps), c(0.0, eps), rel] {
+                    let mut m = u.clone();
+                    m[entry] += nudge;
+                    prop_assert_eq!(
+                        m.is_unitary(UNITARY_TOL),
+                        unitary_reference(&m, UNITARY_TOL),
+                        "dim {} entry {:?} nudge {:?}", dim, entry, nudge
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn is_unitary_matches_the_dense_reference_off_the_square_and_off_the_reals(
+        di in 0usize..UNITARY_DIMS.len(),
+        xs in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 260),
+        kind in 0usize..4,
+        at in (0usize..1000, 0usize..1000),
+        bad in 0usize..5,
+    ) {
+        let dim = UNITARY_DIMS[di];
+        let u = random_unitary(dim, &xs, kind % 2 == 1, kind >= 2);
+        // Non-square: the first `dim − 1` rows, and one extra zero row.
+        let short = CMat::from_vec(dim - 1, dim, u.as_slice()[dim..].to_vec());
+        let mut tall = u.as_slice().to_vec();
+        tall.extend(std::iter::repeat_n(c(0.0, 0.0), dim));
+        let tall = CMat::from_vec(dim + 1, dim, tall);
+        for m in [&short, &tall] {
+            prop_assert!(!m.is_unitary(UNITARY_TOL));
+            prop_assert!(!unitary_reference(m, UNITARY_TOL));
+        }
+        // One non-finite entry, under a finite and an infinite tolerance.
+        let value = [
+            c(f64::NAN, 0.0),
+            c(f64::INFINITY, 0.0),
+            c(f64::NEG_INFINITY, 0.0),
+            c(0.5, f64::INFINITY),
+            c(0.0, f64::NAN),
+        ][bad];
+        let mut m = u.clone();
+        m[(at.0 % dim, at.1 % dim)] = value;
+        for tol in [UNITARY_TOL, f64::INFINITY] {
+            prop_assert_eq!(
+                m.is_unitary(tol),
+                unitary_reference(&m, tol),
+                "dim {} value {:?} tol {}", dim, value, tol
+            );
+        }
     }
 }

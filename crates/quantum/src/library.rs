@@ -218,7 +218,7 @@ impl OperatorLibrary {
     /// Rejects matrices that are neither.
     pub fn insert_auto(&mut self, name: &str, m: CMat) -> Result<(), LibraryError> {
         check_qubit_sized(name, &m)?;
-        if m.is_unitary(1e-8) && !m.approx_eq(&CMat::identity(m.rows()), 1e-12) {
+        if m.is_unitary(1e-8) && !m.is_identity(1e-12) {
             // Prefer the unitary reading except for the identity, which is
             // more useful as the `true` predicate.
             self.map.insert(name.to_string(), LibOp::Unitary(m));
@@ -277,9 +277,7 @@ impl OperatorLibrary {
     pub fn predicate(&self, name: &str) -> Result<CMat, LibraryError> {
         match self.get(name) {
             Some(LibOp::Predicate(m)) => Ok(m.clone()),
-            Some(LibOp::Unitary(m)) if m.approx_eq(&CMat::identity(m.rows()), 1e-12) => {
-                Ok(m.clone())
-            }
+            Some(LibOp::Unitary(m)) if m.is_identity(1e-12) => Ok(m.clone()),
             Some(other) => Err(LibraryError::WrongKind {
                 name: name.to_string(),
                 expected: "predicate",

@@ -236,6 +236,22 @@ fn cli_usage_and_exit_codes() {
 }
 
 #[test]
+fn cli_check_refuses_deep_nesting_with_a_parse_error() {
+    // 200 000 nested `(` used to overflow the parser's stack (exit 134).
+    let dir = temp_dir("deep_nesting");
+    let path = dir.join("deep.nqpv");
+    let body = "(".repeat(200_000);
+    std::fs::write(&path, format!("def pf := proof [q] : {body} end\n")).unwrap();
+    let Some(out) = run_nqpv(&["check", path.to_str().unwrap()]) else {
+        return;
+    };
+    assert_eq!(out.status.code(), Some(2), "deep nesting must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("parse error"), "{err}");
+    assert!(err.contains("nested deeper than 128 levels"), "{err}");
+}
+
+#[test]
 fn cli_batch_verifies_the_corpus_in_parallel() {
     // The acceptance scenario: `nqpv batch examples/corpus --jobs 4 --json`
     // reports per-job status + timings + cache counters, and each verdict
