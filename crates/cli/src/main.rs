@@ -1089,15 +1089,6 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
         }
         None => out.push_str("cache     (disabled)\n"),
     }
-    // Cost-model calibration: predicted/actual ratio p50 over the window.
-    if let Some(h) = hist_window(&samples, "nqpv_cost_prediction_ratio", None) {
-        if h.count > 0 {
-            out.push_str(&format!(
-                "cost      predicted/actual p50 {:.2}\n",
-                h.quantile(0.5)
-            ));
-        }
-    }
     // Latency quantiles re-accumulated over the ring window.
     out.push_str("\nlatency (ring window)       p50       p95       p99\n");
     if let Some(h) = hist_window(&samples, "nqpv_job_duration_seconds", None) {

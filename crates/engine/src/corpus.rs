@@ -21,18 +21,13 @@ pub struct Job {
     /// scheduler co-locates them on one worker to warm the verdict tier
     /// before the long tail runs.
     pub bin: u64,
-    /// Static cost prediction in [`crate::cost`] units, computed at
-    /// load/admission and compared against actual wall time at
-    /// completion.
-    pub cost: u64,
     /// Wire-propagated trace identity ([`TraceContext::NONE`] for local
     /// runs); worker spans inherit it so client and daemon traces stitch.
     pub trace: TraceContext,
 }
 
 impl Job {
-    /// Builds a job, deriving its [`affinity_bin`] and static
-    /// [`crate::cost`] prediction from the source.
+    /// Builds a job, deriving its [`affinity_bin`] from the source.
     pub fn new(
         name: impl Into<String>,
         path: Option<PathBuf>,
@@ -41,14 +36,12 @@ impl Job {
     ) -> Job {
         let source = source.into();
         let bin = affinity_bin(&source);
-        let cost = crate::cost::predict_source(&source).units;
         Job {
             name: name.into(),
             path,
             source,
             base_dir,
             bin,
-            cost,
             trace: TraceContext::NONE,
         }
     }

@@ -16,9 +16,7 @@ use crate::corpus::{Corpus, Job};
 use crate::report::{BatchReport, JobReport, JobStatus, ProofReport};
 use nqpv_core::{Session, VcOptions};
 use nqpv_linalg::par;
-use nqpv_telemetry::{
-    flight, log as tlog, wall_clock_us, ArgValue, Deadline, Phase, Tracer, COST_RATIO_BOUNDS,
-};
+use nqpv_telemetry::{flight, log as tlog, wall_clock_us, ArgValue, Deadline, Phase, Tracer};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -185,11 +183,7 @@ pub fn run_pool(
                         "pool",
                         sourced.job.trace.trace_id,
                         "job picked up",
-                        &[
-                            ("job", &sourced.job.name),
-                            ("worker", &w.to_string()),
-                            ("cost", &sourced.job.cost.to_string()),
-                        ],
+                        &[("job", &sourced.job.name), ("worker", &w.to_string())],
                     );
                     let report = run_job_isolated(
                         &sourced.job,
@@ -310,7 +304,6 @@ pub fn run_job_isolated(
                     worker,
                     counterexamples: Vec::new(),
                     phases: Default::default(),
-                    predicted_cost: job.cost,
                     trace_json: None,
                 };
             }
@@ -359,7 +352,6 @@ pub fn run_job_isolated(
         worker,
         counterexamples: Vec::new(),
         phases: Default::default(),
-        predicted_cost: job.cost,
         trace_json: None,
     }
 }
@@ -599,7 +591,6 @@ fn job_attempt(
         vec![
             ("bin", ArgValue::Str(format!("{:x}", job.bin))),
             ("worker", ArgValue::U64(worker as u64)),
-            ("cost", ArgValue::U64(job.cost)),
         ],
     );
     if vc.deadline.armed() {
@@ -685,19 +676,6 @@ fn job_attempt(
         let _ = std::fs::write(path, data.chrome_json(&job.name).to_string());
     }
     nqpv_telemetry::record_job(status.label(), secs, &data);
-    // Predicted-vs-actual cost accounting: how many times longer (or
-    // shorter) the job ran than its static estimate said it would.
-    let predicted_secs = job.cost as f64 * crate::cost::UNIT_SECONDS;
-    if predicted_secs > 0.0 {
-        nqpv_telemetry::global()
-            .histogram(
-                "nqpv_cost_prediction_ratio",
-                "Actual job seconds divided by statically predicted seconds.",
-                &[],
-                &COST_RATIO_BOUNDS,
-            )
-            .observe(secs / predicted_secs);
-    }
     tlog::debug(
         "pool",
         job.trace.trace_id,
@@ -706,7 +684,6 @@ fn job_attempt(
             ("job", &job.name),
             ("status", status.label()),
             ("ms", &format!("{:.3}", secs * 1e3)),
-            ("predicted_cost", &job.cost.to_string()),
         ],
     );
     // The daemon's half of a cross-process trace: bare wall-clock events
@@ -724,7 +701,6 @@ fn job_attempt(
         worker,
         counterexamples,
         phases: data.phases,
-        predicted_cost: job.cost,
         trace_json,
     }
 }
@@ -1016,7 +992,6 @@ mod tests {
         let job = single.jobs()[0].clone().with_trace(ctx);
         let report = run_job_traced(&job, VcOptions::default(), None, 0, false, None);
         assert!(matches!(report.status, JobStatus::Verified { .. }));
-        assert!(report.predicted_cost >= 1);
         // An active wire context forces full recording even without a
         // trace dir; the daemon's half comes back as a bare event array.
         let events = report.trace_json.expect("active trace records events");

@@ -38,7 +38,7 @@ use nqpv_telemetry::{
     flight, log as tlog, profile, HttpResponse, Json, MetricsServer, SeriesRing, TraceContext,
 };
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,6 +51,38 @@ use std::time::{Duration, Instant};
 /// fills it and is disconnected — the daemon's memory stays proportional
 /// to live, *consuming* subscribers, never to total events streamed.
 const SUBSCRIBER_QUEUE_CAP: usize = 4096;
+
+/// Longest request line the daemon buffers (16 MiB, far above any
+/// `.nqpv` source). A longer line gets an `error` event, the rest of it
+/// is skipped, and the connection keeps serving.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Reads the next request line into `buf`, without its `\n`/`\r\n`:
+/// `None` at end of stream, `Some(Err(_))` for a line over
+/// [`MAX_LINE_BYTES`] or one that is not UTF-8.
+fn read_request_line<'a>(
+    r: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'a str, String>>> {
+    buf.clear();
+    if Read::take(&mut *r, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        r.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
 
 /// Configuration for [`Daemon::start`].
 #[derive(Debug, Clone)]
@@ -821,14 +853,14 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
         }
     });
 
-    // Reader: one request per line.
-    let reader = BufReader::new(&stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    // Reader: one request per line, each at most `MAX_LINE_BYTES`.
+    let mut reader = BufReader::new(&stream);
+    let mut buf = Vec::new();
+    while let Ok(Some(line)) = read_request_line(&mut reader, &mut buf) {
+        if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
-        let reply = match Request::parse(&line) {
+        let reply = match line.and_then(Request::parse) {
             Err(message) => Event::Error { message },
             Ok(req) => {
                 // Chaos site: the daemon loses this connection on submit
@@ -1107,8 +1139,6 @@ fn submit_jobs(
     for (id, job) in ids.into_iter().zip(jobs) {
         let name = job.name.clone();
         let bin = job.bin;
-        // Cost-at-admission: the static prediction that `verdict` events
-        // later pair with actual wall time.
         tlog::debug(
             "daemon",
             job.trace.trace_id,
@@ -1117,7 +1147,6 @@ fn submit_jobs(
                 ("id", &id.to_string()),
                 ("job", &name),
                 ("priority", &priority.to_string()),
-                ("predicted_cost", &job.cost.to_string()),
             ],
         );
         // Reserve → subscribe → announce → publish: the job only becomes

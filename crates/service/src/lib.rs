@@ -53,7 +53,7 @@ pub mod proto;
 pub mod queue;
 
 pub use client::{Client, RetryPolicy};
-pub use daemon::{serve_blocking, Daemon, ServeOptions};
+pub use daemon::{serve_blocking, Daemon, ServeOptions, MAX_LINE_BYTES};
 pub use nqpv_telemetry::json::{self, Json};
 pub use proto::{Event, QueueStats, Request, VerdictEvent};
 pub use queue::{JobQueue, Overloaded};

@@ -301,11 +301,6 @@ pub struct VerdictEvent {
     /// only when the daemon runs with `--explain`. Old clients ignore
     /// the extra member — the protocol is versioned by field presence.
     pub counterexamples: Vec<Json>,
-    /// Static cost prediction recorded at admission
-    /// ([`nqpv_engine::Job::cost`] units); compare against `ms` (also
-    /// streamed as `actual_ms`) for predicted-vs-actual accounting.
-    /// Versioned by field presence — old daemons omit it (decodes 0).
-    pub predicted_cost: u64,
     /// The job's wire trace id (hex), present only for traced jobs —
     /// the key for a follow-up [`Request::Trace`] fetch.
     pub trace: Option<String>,
@@ -454,7 +449,6 @@ impl Event {
                     ("status", s(v.status.clone())),
                     ("ms", n(v.ms)),
                     ("actual_ms", n(v.ms)),
-                    ("predicted_cost", n(v.predicted_cost as f64)),
                     ("bin", s(v.bin.clone())),
                     ("worker", n(v.worker as f64)),
                 ];
@@ -674,7 +668,6 @@ impl Event {
                         .and_then(Json::as_arr)
                         .map(<[Json]>::to_vec)
                         .unwrap_or_default(),
-                    predicted_cost: v.get("predicted_cost").and_then(Json::as_u64).unwrap_or(0),
                     trace: v.get("trace").and_then(Json::as_str).map(str::to_string),
                 }))
             }
@@ -803,7 +796,6 @@ pub fn verdict_event(id: u64, report: &JobReport, trace: Option<String>) -> Even
         proofs,
         error,
         counterexamples: report.counterexamples.iter().map(|c| c.to_json()).collect(),
-        predicted_cost: report.predicted_cost,
         trace,
     })
 }
@@ -863,6 +855,18 @@ mod tests {
 
     #[test]
     fn events_roundtrip() {
+        let broken = VerdictEvent {
+            id: 4,
+            name: "broken".into(),
+            status: "error".into(),
+            ms: 0.25,
+            bin: "0".into(),
+            worker: 0,
+            proofs: vec![],
+            error: Some("line 1: parse error \"x\"".into()),
+            counterexamples: vec![],
+            trace: None,
+        };
         let cases = [
             Event::Accepted {
                 jobs: vec![(0, "a".into()), (1, "b".into())],
@@ -887,7 +891,6 @@ mod tests {
                 worker: 2,
                 proofs: vec![("pf".into(), false)],
                 error: None,
-                predicted_cost: 42,
                 trace: Some("00ff00ff00ff00ff".into()),
                 counterexamples: vec![obj(vec![
                     ("proof", s("pf")),
@@ -895,19 +898,7 @@ mod tests {
                     ("confirmed", Json::Bool(true)),
                 ])],
             }),
-            Event::Verdict(VerdictEvent {
-                id: 4,
-                name: "broken".into(),
-                status: "error".into(),
-                ms: 0.25,
-                bin: "0".into(),
-                worker: 0,
-                proofs: vec![],
-                error: Some("line 1: parse error \"x\"".into()),
-                counterexamples: vec![],
-                predicted_cost: 1,
-                trace: None,
-            }),
+            Event::Verdict(broken.clone()),
             Event::Verdict(VerdictEvent {
                 id: 5,
                 name: "loopy".into(),
@@ -918,7 +909,6 @@ mod tests {
                 proofs: vec![],
                 error: Some("verification deadline exceeded (at while M01[q] …)".into()),
                 counterexamples: vec![],
-                predicted_cost: 980,
                 trace: None,
             }),
             Event::Overloaded {
@@ -1001,6 +991,11 @@ mod tests {
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Event::parse(&line).unwrap(), e, "{line}");
         }
+        // A verdict from a daemon that still streams `predicted_cost`:
+        // unknown keys are ignored, so mixed-version clients decode the
+        // same event.
+        let old = r#"{"event":"verdict","id":4,"name":"broken","status":"error","ms":0.25,"actual_ms":0.25,"predicted_cost":15,"bin":"0","worker":0,"proofs":[],"error":"line 1: parse error \"x\""}"#;
+        assert_eq!(Event::parse(old).unwrap(), Event::Verdict(broken));
     }
 
     #[test]

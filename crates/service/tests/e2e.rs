@@ -4,7 +4,7 @@
 //! against the same `--cache-dir` answering verdict queries from disk.
 
 use nqpv_engine::{run_batch, BatchOptions, Corpus};
-use nqpv_service::{Client, Daemon, Event, Request, ServeOptions};
+use nqpv_service::{Client, Daemon, Event, Request, ServeOptions, MAX_LINE_BYTES};
 use nqpv_telemetry::series::samples_from_json;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -300,6 +300,24 @@ fn deeply_nested_line_gets_an_error_reply_and_the_daemon_keeps_serving() {
         other => panic!("expected a structured error reply, got {other:?}"),
     }
     assert_eq!(client.request(&Request::Ping).unwrap(), Event::Pong);
+    daemon.join();
+}
+
+#[test]
+fn over_cap_line_gets_an_error_reply_and_the_connection_keeps_serving() {
+    let daemon = start(None, 1);
+    let mut client = Client::connect(daemon.local_addr()).unwrap();
+    // An uncapped line reader would buffer all of this (or, without the
+    // newline, grow one string forever).
+    client.send_raw(&"x".repeat(MAX_LINE_BYTES + 1)).unwrap();
+    client.send_raw("{\"cmd\":\"ping\"}").unwrap();
+    match client.next_event().unwrap() {
+        Some(Event::Error { message }) => {
+            assert!(message.contains("request line longer than"), "{message}")
+        }
+        other => panic!("expected a structured error reply, got {other:?}"),
+    }
+    assert_eq!(client.next_event().unwrap(), Some(Event::Pong));
     daemon.join();
 }
 

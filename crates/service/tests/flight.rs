@@ -37,7 +37,6 @@ fn traced_submission_survives_an_injected_panic_and_dumps_flight() {
     let verdict = &client.wait_verdicts(&[id]).unwrap()[0];
     assert_eq!(verdict.status, "verified", "{verdict:?}");
     assert_eq!(verdict.trace.as_deref(), Some(hex.as_str()), "{verdict:?}");
-    assert!(verdict.predicted_cost > 0, "{verdict:?}");
 
     // The daemon half of the trace is retrievable by job id, tagged with
     // the client-minted id, and shows the successful attempt ran as a

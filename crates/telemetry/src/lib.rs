@@ -2,10 +2,9 @@
 //!
 //! Zero-dependency structured tracing and metrics for the NQPV stack.
 //!
-//! The ROADMAP's scheduling- and perf-shaped tentpoles (cluster placement,
-//! cost-model-informed binning, intra-job kernel parallelism) all need to
-//! *see* where time and cache capacity go. This crate is that seam, in
-//! three parts:
+//! Scheduling and performance work (affinity-bin placement, intra-job
+//! kernel parallelism) needs to *see* where time and cache capacity go.
+//! This crate is that seam, in three parts:
 //!
 //! * **Spans** ([`Tracer`] / [`Span`]) — a thread-safe, `Copy` tracer
 //!   handle that rides inside option structs ([`Tracer`] is two `u32`s
@@ -50,7 +49,7 @@ pub use http::{HttpResponse, MetricsServer};
 pub use json::Json;
 pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SampleValue,
-    COST_RATIO_BOUNDS, DEFAULT_LATENCY_BOUNDS,
+    DEFAULT_LATENCY_BOUNDS,
 };
 pub use series::SeriesRing;
 pub use trace::{
