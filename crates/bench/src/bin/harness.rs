@@ -56,7 +56,8 @@ fn main() {
     println!("\n## E4: tool behaviours (paper Sec. 6.2)\n");
     let study = qwalk();
     let outcome = study.verify().expect("verification runs");
-    let has_vars = outcome.outline.contains("VAR0") && outcome.outline.contains("VAR1");
+    let outline = study.outline(&outcome);
+    let has_vars = outline.contains("VAR0") && outline.contains("VAR1");
     println!("- proof outline contains generated VAR predicates: {has_vars}");
     let mut broken = qwalk();
     broken.term = nqpv_lang::parse_proof_body(

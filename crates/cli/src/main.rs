@@ -1136,7 +1136,7 @@ fn top_frame(client: &mut Client, addr: &str) -> std::io::Result<String> {
 }
 
 fn cmd_ops() -> ExitCode {
-    let session = Session::new();
+    let mut session = Session::new();
     let mut names: Vec<&str> = [
         "I", "X", "Y", "Z", "H", "S", "T", "CX", "C0X", "CZ", "SWAP", "CCX", "W1", "W2", "M01",
         "Mpm", "MQWalk", "Zero", "P0", "P1", "Pp", "Pm",

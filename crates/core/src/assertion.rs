@@ -380,13 +380,13 @@ impl Assertion {
             // form pays off exactly when 2r ≤ 2ᵏ — passed down as the
             // rank budget so full-rank operators abort cheaply.
             let factored = if factor {
-                low_rank_factor(&m, RANK_DETECT_TOL, m.rows() / 2)
+                low_rank_factor(m, RANK_DETECT_TOL, m.rows() / 2)
             } else {
                 None
             };
             ops.push(match factored {
                 Some(w) => Predicate::Factored(Factor::new(embed_factor(&w, &pos, n))),
-                None => Predicate::Dense(embed(&m, &pos, n)),
+                None => Predicate::Dense(embed(m, &pos, n)),
             });
         }
         Assertion::from_predicates(reg.dim(), ops)

@@ -57,14 +57,14 @@ impl CaseStudy {
     ///
     /// Propagates verification errors.
     pub fn verify_with(&self, opts: VcOptions) -> Result<VerifyOutcome, VerifError> {
-        let mut registry = PredicateRegistry::new();
-        verify_proof_term(
-            &self.term,
-            &self.library,
-            opts,
-            &self.rankings,
-            &mut registry,
-        )
+        verify_proof_term(&self.term, &self.library, opts, &self.rankings)
+    }
+
+    /// Renders the annotated proof outline of an outcome of this study.
+    pub fn outline(&self, outcome: &VerifyOutcome) -> String {
+        outcome
+            .render(&self.library, &mut PredicateRegistry::new())
+            .outline
     }
 }
 

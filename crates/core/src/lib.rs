@@ -10,8 +10,9 @@
 //!   with loop invariants and [`RankingCertificate`]s (Def. 4.3);
 //! * [`proof`] — explicit proof objects for the Hoare logic of Fig. 3 with
 //!   a side-condition checker (soundness enforced numerically);
-//! * [`verify_proof_term`] — the NQPV verifier: parse-bind-verify with
-//!   proof-outline generation and the `show` registry;
+//! * [`verify_proof_term`] — the NQPV verifier: parse-bind-verify, with
+//!   the proof outline and the `show` registry rendered on demand
+//!   ([`VerifyOutcome::render`]);
 //! * [`casestudies`] — the paper's Sec. 5 examples (QEC, Deutsch, QWalk),
 //!   Grover for the Sec. 6.5 scaling study, and a repeat-until-success
 //!   total-correctness example.
@@ -45,5 +46,6 @@ pub use transformer::{
     backward, backward_with_cache, precondition, Annotated, AnnotatedNode, Mode, VcOptions,
 };
 pub use verifier::{
-    verify_proof_term, verify_proof_term_with, FailedObligation, VerifyOutcome, VerifyStatus,
+    verify_proof_term, verify_proof_term_with, FailedObligation, Rendered, VerifyOutcome,
+    VerifyStatus,
 };

@@ -1,13 +1,18 @@
 //! Session driver: executes whole NQPV source files
 //! (`def … end` / `show … end`), maintaining the operator library, proof
 //! outcomes and the `show` registry — the programmatic face of the CLI.
+//!
+//! Proofs are verified for their verdict alone. Outlines, predicate names
+//! and violation text are rendered the first time something reads them
+//! (`show`, [`Session::outline`], [`Session::registry`]), for every
+//! pending proof in proof order, so `VARk` numbering matches an eager run.
 
 use crate::cache::TransformerCache;
 use crate::error::VerifError;
 use crate::outline::{render_matrix, PredicateRegistry};
 use crate::ranking::RankingCertificate;
 use crate::transformer::VcOptions;
-use crate::verifier::{verify_proof_term_with, VerifyOutcome};
+use crate::verifier::{verify_proof_term_with, Rendered, VerifyOutcome, VerifyStatus};
 use nqpv_lang::{parse_source, Command, Decl, SourceFile};
 use nqpv_quantum::OperatorLibrary;
 use std::collections::HashMap;
@@ -76,7 +81,13 @@ impl SessionError {
 pub struct Session {
     lib: OperatorLibrary,
     registry: PredicateRegistry,
-    outcomes: HashMap<String, VerifyOutcome>,
+    /// Every proof verified so far, in order (shadowed duplicates too:
+    /// their rendering still allocates `VARk` names).
+    proofs: Vec<VerifyOutcome>,
+    /// The display text of `proofs[..rendered.len()]`.
+    rendered: Vec<Rendered>,
+    /// Proof name → index of its latest run in `proofs`.
+    latest: HashMap<String, usize>,
     rankings: HashMap<String, HashMap<usize, RankingCertificate>>,
     opts: VcOptions,
     base_dir: PathBuf,
@@ -90,7 +101,9 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("lib", &self.lib)
             .field("registry", &self.registry)
-            .field("outcomes", &self.outcomes)
+            .field("proofs", &self.proofs)
+            .field("rendered", &self.rendered)
+            .field("latest", &self.latest)
             .field("rankings", &self.rankings)
             .field("opts", &self.opts)
             .field("base_dir", &self.base_dir)
@@ -114,7 +127,9 @@ impl Session {
         Session {
             lib: OperatorLibrary::with_builtins(),
             registry: PredicateRegistry::new(),
-            outcomes: HashMap::new(),
+            proofs: Vec::new(),
+            rendered: Vec::new(),
+            latest: HashMap::new(),
             rankings: HashMap::new(),
             opts: VcOptions::default(),
             base_dir: PathBuf::from("."),
@@ -145,8 +160,10 @@ impl Session {
     }
 
     /// Mutable access to the operator library (to pre-register operators
-    /// programmatically, as tests and examples do).
+    /// programmatically, as tests and examples do). Pending proofs are
+    /// rendered first, against the library they were verified with.
     pub fn library_mut(&mut self) -> &mut OperatorLibrary {
+        self.render_pending();
         &mut self.lib
     }
 
@@ -184,7 +201,7 @@ impl Session {
                     let full = self.base_dir.join(path);
                     let m = nqpv_linalg::read_matrix(&full)
                         .map_err(|e| SessionError::Npy(path.clone(), e))?;
-                    self.lib
+                    self.library_mut()
                         .insert_auto(name, m)
                         .map_err(SessionError::Library)?;
                 }
@@ -207,7 +224,6 @@ impl Session {
                         &self.lib,
                         self.opts,
                         rankings,
-                        &mut self.registry,
                         self.cache.as_deref(),
                     )
                     .map_err(|error| SessionError::Verify {
@@ -216,7 +232,8 @@ impl Session {
                     })?;
                     self.proof_log
                         .push((name.clone(), outcome.status.verified()));
-                    self.outcomes.insert(name.clone(), outcome);
+                    self.latest.insert(name.clone(), self.proofs.len());
+                    self.proofs.push(outcome);
                 }
                 Command::Show(name) => {
                     let text = self.show(name)?;
@@ -227,22 +244,29 @@ impl Session {
         Ok(())
     }
 
+    /// Renders every pending proof, in proof order.
+    fn render_pending(&mut self) {
+        for outcome in &self.proofs[self.rendered.len()..] {
+            self.rendered
+                .push(outcome.render(&self.lib, &mut self.registry));
+        }
+    }
+
     /// Renders a proof outline or an operator matrix by name.
     ///
     /// # Errors
     ///
     /// Returns [`SessionError::UnknownShow`] for unresolved names.
-    pub fn show(&self, name: &str) -> Result<String, SessionError> {
-        if let Some(outcome) = self.outcomes.get(name) {
-            let mut text = outcome.outline.clone();
-            match &outcome.status {
-                crate::verifier::VerifyStatus::Verified => {}
-                crate::verifier::VerifyStatus::PreconditionViolated { details, .. } => {
-                    text.push_str(&format!("\nError:\n  {details}\n"));
-                }
-                crate::verifier::VerifyStatus::Unresolved { details } => {
-                    text.push_str(&format!("\nWarning: {details}\n"));
-                }
+    pub fn show(&mut self, name: &str) -> Result<String, SessionError> {
+        self.render_pending();
+        if let Some(&i) = self.latest.get(name) {
+            let rendered = &self.rendered[i];
+            let mut text = rendered.outline.clone();
+            if let Some(violation) = &rendered.violation {
+                text.push_str(&format!("\nError:\n  {violation}\n"));
+            }
+            if let VerifyStatus::Unresolved { details } = &self.proofs[i].status {
+                text.push_str(&format!("\nWarning: {details}\n"));
             }
             return Ok(text);
         }
@@ -266,7 +290,15 @@ impl Session {
     /// With duplicate `def` names, later proofs shadow earlier ones;
     /// [`Session::proof_verdicts`] keeps every run in order.
     pub fn outcome(&self, name: &str) -> Option<&VerifyOutcome> {
-        self.outcomes.get(name)
+        self.latest.get(name).map(|&i| &self.proofs[i])
+    }
+
+    /// The annotated proof outline of a named proof, rendered on first
+    /// read.
+    pub fn outline(&mut self, name: &str) -> Option<&str> {
+        self.render_pending();
+        let &i = self.latest.get(name)?;
+        Some(&self.rendered[i].outline)
     }
 
     /// Every proof this session has verified, in execution order, with
@@ -282,8 +314,10 @@ impl Session {
         &self.output
     }
 
-    /// The predicate registry (for `show VARk`-style queries).
-    pub fn registry(&self) -> &PredicateRegistry {
+    /// The predicate registry (for `show VARk`-style queries), with every
+    /// proof so far rendered into it.
+    pub fn registry(&mut self) -> &PredicateRegistry {
+        self.render_pending();
         &self.registry
     }
 }
@@ -303,8 +337,27 @@ mod tests {
     }
 
     #[test]
+    fn outlines_and_names_render_on_first_read() {
+        // No `show` in the source: nothing reads the outline until the
+        // accessors do, and they agree with `show`.
+        let mut s = Session::new();
+        s.run_str("def pf := proof [q] : { P1[q] }; [q] *= H; { P0[q] } end")
+            .unwrap();
+        assert!(s.registry().matrix("VAR0").is_some());
+        let outline = s.outline("pf").unwrap().to_string();
+        assert!(
+            outline.contains("{ VAR0[q] }; // the Veri. Con."),
+            "{outline}"
+        );
+        let shown = s.show("pf").unwrap();
+        assert!(shown.starts_with(&outline));
+        assert!(shown.contains("{ P1[q] } <= { VAR0[q] }"), "{shown}");
+        assert!(s.outline("nope").is_none());
+    }
+
+    #[test]
     fn show_library_operators_and_measurements() {
-        let s = Session::new();
+        let mut s = Session::new();
         assert!(s.show("H").unwrap().contains("0.7071"));
         let m01 = s.show("M01").unwrap();
         assert!(m01.contains("M01.P0"));

@@ -1,5 +1,6 @@
 //! The NQPV verifier: binds a proof term against an operator library,
-//! runs the backward pass, and produces the annotated proof outline.
+//! runs the backward pass and the final comparison, and renders the
+//! annotated proof outline when a reader asks for it.
 //!
 //! This reproduces the Sec. 6.2 workflow: "after successfully parsing the
 //! input, NQPV inductively constructs proofs … The strategy is to calculate
@@ -11,7 +12,7 @@ use crate::assertion::Assertion;
 use crate::error::VerifError;
 use crate::outline::{render_assertion, render_outline, PredicateRegistry};
 use crate::ranking::RankingCertificate;
-use crate::transformer::VcOptions;
+use crate::transformer::{Annotated, VcOptions};
 use nqpv_lang::{AssertionExpr, ProofTerm, Stmt};
 use nqpv_quantum::{OperatorLibrary, Register};
 use nqpv_solver::Verdict;
@@ -42,10 +43,10 @@ pub enum VerifyStatus {
     /// (or no precondition was given — the tool then reports the weakest
     /// precondition it computed, Sec. 6.1).
     Verified,
-    /// `pre ⊑_inf VC` failed: the correctness formula is rejected.
+    /// `pre ⊑_inf VC` failed: the correctness formula is rejected. The
+    /// tool's "Order relation not satisfied" text is
+    /// [`Rendered::violation`].
     PreconditionViolated {
-        /// Rendered diagnostic (the tool's "Order relation not satisfied").
-        details: String,
         /// The structured violation evidence (obligation index, witness
         /// state, margin).
         violation: FailedObligation,
@@ -64,20 +65,77 @@ impl VerifyStatus {
     }
 }
 
-/// The result of verifying one proof term.
+/// The result of verifying one proof term: the verdict plus what a
+/// reader needs to render the proof outline on demand
+/// ([`VerifyOutcome::render`]). Verdict-only callers (batch, daemon,
+/// `explain`) never pay for names or text.
 #[derive(Debug, Clone)]
 pub struct VerifyOutcome {
     /// Whether the correctness formula was established.
     pub status: VerifyStatus,
-    /// The computed verification condition (weakest precondition when no
-    /// loops intervene; invariant-derived otherwise).
-    pub computed_pre: Assertion,
-    /// The annotated proof outline, in the tool's output format.
-    pub outline: String,
+    /// The annotated backward pass; its root `pre` is the computed
+    /// verification condition.
+    pub annotated: Annotated,
+    /// The verified proof term.
+    pub term: ProofTerm,
 }
 
-/// Verifies a proof term, extending `registry` with every predicate that
-/// appears (user-supplied and generated `VAR*`).
+/// The display text of a [`VerifyOutcome`], as the tool prints it.
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// The annotated proof outline, in the tool's output format.
+    pub outline: String,
+    /// For a rejected proof, the tool's "Order relation not satisfied"
+    /// diagnostic.
+    pub violation: Option<String>,
+}
+
+impl VerifyOutcome {
+    /// The computed verification condition (weakest precondition when no
+    /// loops intervene; invariant-derived otherwise).
+    pub fn computed_pre(&self) -> &Assertion {
+        &self.annotated.pre
+    }
+
+    /// Renders the outline and the violation text, extending `registry`
+    /// with every predicate that appears (user-supplied names first, then
+    /// generated `VAR*`). `lib` must be the library the term was verified
+    /// against. Rendering outcomes in proof order into one registry gives
+    /// every session-wide `VARk` the same number as the tool.
+    pub fn render(&self, lib: &OperatorLibrary, registry: &mut PredicateRegistry) -> Rendered {
+        let term = &self.term;
+        let ann = &self.annotated;
+        let register_display = term.qubits.join(" ");
+        if let Ok(reg) = Register::new(&term.qubits) {
+            register_expr(&term.post, lib, &reg, registry);
+            if let Some(pre) = &term.pre {
+                register_expr(pre, lib, &reg, registry);
+            }
+            register_stmt_assertions(&term.body, lib, &reg, registry);
+        }
+        let pre_display = term.pre.as_ref().map(nqpv_lang::pretty_assertion);
+        let violation = match &self.status {
+            VerifyStatus::PreconditionViolated { violation } => Some(format!(
+                "Order relation not satisfied:\n  {} <= {}\n  (violation margin {:.3e})",
+                pre_display.as_deref().unwrap_or_default(),
+                render_assertion(&ann.pre, registry, &register_display),
+                violation.margin
+            )),
+            _ => None,
+        };
+        let outline = render_outline(
+            &term.qubits,
+            pre_display.as_deref(),
+            ann,
+            &nqpv_lang::pretty_assertion(&term.post),
+            registry,
+        );
+        Rendered { outline, violation }
+    }
+}
+
+/// Verifies a proof term: the backward pass and the final comparison.
+/// Nothing is named or rendered; see [`VerifyOutcome::render`].
 ///
 /// # Errors
 ///
@@ -92,9 +150,8 @@ pub fn verify_proof_term(
     lib: &OperatorLibrary,
     opts: VcOptions,
     rankings: &HashMap<usize, RankingCertificate>,
-    registry: &mut PredicateRegistry,
 ) -> Result<VerifyOutcome, VerifError> {
-    verify_proof_term_with(term, lib, opts, rankings, registry, None)
+    verify_proof_term_with(term, lib, opts, rankings, None)
 }
 
 /// [`verify_proof_term`] with an optional verdict cache threaded through
@@ -109,24 +166,21 @@ pub fn verify_proof_term_with(
     lib: &OperatorLibrary,
     opts: VcOptions,
     rankings: &HashMap<usize, RankingCertificate>,
-    registry: &mut PredicateRegistry,
     cache: Option<&dyn crate::cache::TransformerCache>,
 ) -> Result<VerifyOutcome, VerifError> {
     let reg = Register::new(&term.qubits)?;
-    // Resolve and name the user-facing assertions (rank detection per
+    // Resolve the user-facing assertions (rank detection per
     // `opts.factor_assertions`).
-    let post = resolve_user_assertion(&term.post, lib, &reg, registry, opts.factor_assertions)?;
+    let post = resolve_user_assertion(&term.post, lib, &reg, opts.factor_assertions)?;
     let pre = match &term.pre {
         Some(expr) => Some(resolve_user_assertion(
             expr,
             lib,
             &reg,
-            registry,
             opts.factor_assertions,
         )?),
         None => None,
     };
-    register_stmt_assertions(&term.body, lib, &reg, registry);
 
     // Backward pass.
     let ann = crate::transformer::backward_with_cache(
@@ -140,12 +194,6 @@ pub fn verify_proof_term_with(
         Some(p) => match p.le_inf_cached(&ann.pre, opts.lowner, cache)? {
             Verdict::Holds => VerifyStatus::Verified,
             Verdict::Violated(v) => VerifyStatus::PreconditionViolated {
-                details: format!(
-                    "Order relation not satisfied:\n  {} <= {}\n  (violation margin {:.3e})",
-                    render_expr(&term.post, term.pre.as_ref()),
-                    render_assertion(&ann.pre.clone(), registry, &term.qubits.join(" ")),
-                    v.margin
-                ),
                 violation: FailedObligation {
                     vc_index: v.index,
                     witness: v.witness,
@@ -157,40 +205,18 @@ pub fn verify_proof_term_with(
             },
         },
     };
-
-    let pre_display = term.pre.as_ref().map(render_assertion_expr);
-    let outline = render_outline(
-        &term.qubits,
-        pre_display.as_deref(),
-        &ann,
-        &render_assertion_expr(&term.post),
-        registry,
-    );
     Ok(VerifyOutcome {
         status,
-        computed_pre: ann.pre,
-        outline,
+        annotated: ann,
+        term: term.clone(),
     })
 }
 
-fn render_assertion_expr(expr: &AssertionExpr) -> String {
-    nqpv_lang::pretty_assertion(expr)
-}
-
-fn render_expr(post: &AssertionExpr, pre: Option<&AssertionExpr>) -> String {
-    match pre {
-        Some(p) => render_assertion_expr(p),
-        None => render_assertion_expr(post),
-    }
-}
-
-/// Resolves a user assertion and registers each term's embedded matrix
-/// under its source display name.
+/// Resolves a user assertion, checking `0 ⊑ M ⊑ I` for each term.
 fn resolve_user_assertion(
     expr: &AssertionExpr,
     lib: &OperatorLibrary,
     reg: &Register,
-    registry: &mut PredicateRegistry,
     factor: bool,
 ) -> Result<Assertion, VerifError> {
     let a = Assertion::from_expr_with(expr, lib, reg, factor)?;
@@ -199,7 +225,6 @@ fn resolve_user_assertion(
             details: "assertion contains operators outside 0 ⊑ M ⊑ I".into(),
         });
     }
-    register_expr(expr, lib, reg, registry);
     Ok(a)
 }
 
@@ -243,6 +268,7 @@ fn register_stmt_assertions(
     }
 }
 
+/// Registers each term's embedded matrix under its source display name.
 fn register_expr(
     expr: &AssertionExpr,
     lib: &OperatorLibrary,
@@ -253,7 +279,7 @@ fn register_expr(
         if let Ok(m) = lib.predicate(&term.op) {
             if let Ok(pos) = reg.positions(&term.qubits) {
                 if m.rows() == (1usize << pos.len()) {
-                    let embedded = nqpv_linalg::embed(&m, &pos, reg.n_qubits());
+                    let embedded = nqpv_linalg::embed(m, &pos, reg.n_qubits());
                     registry.register_named(
                         &format!("{}[{}]", term.op, term.qubits.join(" ")),
                         &embedded,
@@ -297,30 +323,23 @@ mod tests {
     fn qwalk_verifies_and_produces_the_sec62_outline() {
         let lib = qwalk_library();
         let term = parse_proof_body(&["q1", "q2"], QWALK_BODY).unwrap();
-        let mut registry = PredicateRegistry::new();
-        let outcome = verify_proof_term(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &HashMap::new(),
-            &mut registry,
-        )
-        .unwrap();
+        let outcome =
+            verify_proof_term(&term, &lib, VcOptions::default(), &HashMap::new()).unwrap();
         assert!(outcome.status.verified(), "{:?}", outcome.status);
-        // The outline must show the invariant name and the while structure.
-        assert!(
-            outcome.outline.contains("invN[q1 q2]"),
-            "{}",
-            outcome.outline
-        );
-        assert!(outcome.outline.contains("while MQWalk[q1 q2] do"));
-        assert!(outcome.outline.contains("// the Veri. Con."));
         // The generated VC for the whole program is I (full space), i.e.
         // the formula {I} QWalk {0} of Eq. 15.
-        assert_eq!(outcome.computed_pre.len(), 1);
-        assert!(outcome.computed_pre.ops()[0].approx_eq(&nqpv_linalg::CMat::identity(4), 1e-9));
+        assert_eq!(outcome.computed_pre().len(), 1);
+        assert!(outcome.computed_pre().ops()[0].approx_eq(&nqpv_linalg::CMat::identity(4), 1e-9));
+        // Verification names nothing; rendering does.
+        let mut registry = PredicateRegistry::new();
+        let outline = outcome.render(&lib, &mut registry).outline;
+        // The outline must show the invariant name and the while structure.
+        assert!(outline.contains("invN[q1 q2]"), "{outline}");
+        assert!(outline.contains("while MQWalk[q1 q2] do"));
+        assert!(outline.contains("// the Veri. Con."));
         // show VAR-like names resolve.
         assert!(registry.matrix("invN[q1 q2]").is_some());
+        assert!(registry.matrix("VAR0").is_some());
     }
 
     #[test]
@@ -328,15 +347,8 @@ mod tests {
         let lib = qwalk_library();
         let body = QWALK_BODY.replace("invN[q1 q2]", "P0[q1]");
         let term = parse_proof_body(&["q1", "q2"], &body).unwrap();
-        let mut registry = PredicateRegistry::new();
-        let err = verify_proof_term(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &HashMap::new(),
-            &mut registry,
-        )
-        .unwrap_err();
+        let err =
+            verify_proof_term(&term, &lib, VcOptions::default(), &HashMap::new()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("Order relation not satisfied"), "{msg}");
         assert!(msg.contains("not a valid loop invariant"), "{msg}");
@@ -347,18 +359,10 @@ mod tests {
         // {P1} H {P0} is false (wlp = |+⟩⟨+|, and P1 ⋢ |+⟩⟨+|).
         let lib = OperatorLibrary::with_builtins();
         let term = parse_proof_body(&["q"], "{ P1[q] }; [q] *= H; { P0[q] }").unwrap();
-        let mut registry = PredicateRegistry::new();
-        let outcome = verify_proof_term(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &HashMap::new(),
-            &mut registry,
-        )
-        .unwrap();
-        match outcome.status {
-            VerifyStatus::PreconditionViolated { details, violation } => {
-                assert!(details.contains("Order relation not satisfied"));
+        let outcome =
+            verify_proof_term(&term, &lib, VcOptions::default(), &HashMap::new()).unwrap();
+        match &outcome.status {
+            VerifyStatus::PreconditionViolated { violation } => {
                 // The structured record carries the solver's evidence: the
                 // witness is a state with tr(P1·ρ) − tr(Pp·ρ) = margin.
                 assert!(violation.margin > 0.2, "{}", violation.margin);
@@ -366,26 +370,27 @@ mod tests {
             }
             other => panic!("expected violation, got {other:?}"),
         }
-        // Outline still rendered.
-        assert!(outcome.outline.contains("[q] *= H"));
+        // Outline and violation text still rendered.
+        let rendered = outcome.render(&lib, &mut PredicateRegistry::new());
+        assert!(rendered.outline.contains("[q] *= H"));
+        let details = rendered.violation.expect("violation text");
+        assert_eq!(
+            details,
+            "Order relation not satisfied:\n  { P1[q] } <= { VAR0[q] }\n  (violation margin 5.000e-1)"
+        );
     }
 
     #[test]
     fn omitted_precondition_reports_weakest_precondition() {
         let lib = OperatorLibrary::with_builtins();
         let term = parse_proof_body(&["q"], "[q] *= H; { P0[q] }").unwrap();
-        let mut registry = PredicateRegistry::new();
-        let outcome = verify_proof_term(
-            &term,
-            &lib,
-            VcOptions::default(),
-            &HashMap::new(),
-            &mut registry,
-        )
-        .unwrap();
+        let outcome =
+            verify_proof_term(&term, &lib, VcOptions::default(), &HashMap::new()).unwrap();
         assert!(outcome.status.verified());
         // VC = |+⟩⟨+| = Pp.
-        assert!(outcome.computed_pre.ops()[0].approx_eq(&nqpv_quantum::ket("+").projector(), 1e-9));
+        assert!(
+            outcome.computed_pre().ops()[0].approx_eq(&nqpv_quantum::ket("+").projector(), 1e-9)
+        );
     }
 
     #[test]
@@ -402,7 +407,6 @@ mod tests {
             0,
             RankingCertificate::geometric(2, nqpv_quantum::ket("1").projector(), 0.5),
         );
-        let mut registry = PredicateRegistry::new();
         let outcome = verify_proof_term(
             &term,
             &lib,
@@ -411,7 +415,6 @@ mod tests {
                 ..VcOptions::default()
             },
             &rankings,
-            &mut registry,
         )
         .unwrap();
         assert!(outcome.status.verified(), "{:?}", outcome.status);

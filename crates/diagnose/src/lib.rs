@@ -56,10 +56,9 @@ mod search;
 pub use search::{demonic_schedule, ScriptSched, SearchOutcome};
 
 use nqpv_core::{
-    backward, Annotated, AnnotatedNode, Assertion, FailedObligation, PredicateRegistry, VcOptions,
-    VerifyStatus,
+    Annotated, AnnotatedNode, Assertion, FailedObligation, VcOptions, VerifyOutcome, VerifyStatus,
 };
-use nqpv_lang::{parse_source, pretty_assertion, pretty_stmt, Command, Decl, ProofTerm, Stmt};
+use nqpv_lang::{parse_source, pretty_assertion, pretty_stmt, Command, Decl, Stmt};
 use nqpv_linalg::{eigh, CMat, Complex};
 use nqpv_quantum::{OperatorLibrary, Register};
 use nqpv_semantics::{exec_scheduled, ExecOptions};
@@ -211,7 +210,6 @@ pub fn explain_source(
 ) -> Result<Vec<ProofDiagnosis>, String> {
     let file = parse_source(source).map_err(|e| e.to_string())?;
     let mut lib = OperatorLibrary::with_builtins();
-    let mut registry = PredicateRegistry::new();
     let mut out = Vec::new();
     for cmd in &file.commands {
         match cmd {
@@ -221,9 +219,8 @@ pub fn explain_source(
                 lib.insert_auto(name, m).map_err(|e| e.to_string())?;
             }
             Command::Def(Decl::Proof { name, term }) => {
-                let outcome =
-                    nqpv_core::verify_proof_term(term, &lib, opts, &HashMap::new(), &mut registry)
-                        .map_err(|e| format!("verifying proof '{name}':\n{e}"))?;
+                let outcome = nqpv_core::verify_proof_term(term, &lib, opts, &HashMap::new())
+                    .map_err(|e| format!("verifying proof '{name}':\n{e}"))?;
                 let diagnosis = match &outcome.status {
                     VerifyStatus::Verified => ProofDiagnosis {
                         name: name.clone(),
@@ -238,7 +235,7 @@ pub fn explain_source(
                     VerifyStatus::PreconditionViolated { violation, .. } => ProofDiagnosis {
                         name: name.clone(),
                         verified: false,
-                        counterexample: Some(explain_term(name, term, &lib, opts, violation)?),
+                        counterexample: Some(explain_term(name, &outcome, &lib, opts, violation)?),
                     },
                 };
                 out.push(diagnosis);
@@ -249,8 +246,8 @@ pub fn explain_source(
     Ok(out)
 }
 
-/// Extracts a counterexample for one rejected proof term from the
-/// verifier's structured violation record.
+/// Extracts a counterexample for one rejected proof from the verifier's
+/// outcome (its annotated backward pass) and structured violation record.
 ///
 /// # Errors
 ///
@@ -258,11 +255,12 @@ pub fn explain_source(
 /// happen for terms that just verified as rejected — defensive).
 pub fn explain_term(
     name: &str,
-    term: &ProofTerm,
+    outcome: &VerifyOutcome,
     lib: &OperatorLibrary,
     opts: VcOptions,
     violation: &FailedObligation,
 ) -> Result<Counterexample, String> {
+    let term = &outcome.term;
     let reg = Register::new(&term.qubits).map_err(|e| e.to_string())?;
     let post = Assertion::from_expr_with(&term.post, lib, &reg, opts.factor_assertions)
         .map_err(|e| e.to_string())?;
@@ -272,10 +270,9 @@ pub fn explain_term(
         .ok_or("rejected proof carries no precondition")?;
     let pre = Assertion::from_expr_with(pre_expr, lib, &reg, opts.factor_assertions)
         .map_err(|e| e.to_string())?;
-    // Re-run the (deterministic) backward pass for the annotated tree —
-    // the per-statement conditions behind the trajectory.
-    let ann =
-        backward(&term.body, &post, lib, &reg, opts, &HashMap::new()).map_err(|e| e.to_string())?;
+    // The annotated tree holds the per-statement conditions behind the
+    // trajectory.
+    let ann = &outcome.annotated;
     let vc = &ann.pre;
     let vc_index = violation.vc_index.min(vc.len().saturating_sub(1));
     let n_star = &vc.ops()[vc_index];
@@ -335,7 +332,7 @@ pub fn explain_term(
         SEARCH_BUDGET,
     )
     .map_err(|e| e.to_string())?;
-    let trajectory = trajectory(&term.body, &ann, &rho, &post, lib, &reg, &search.bits, exec)
+    let trajectory = trajectory(&term.body, ann, &rho, &post, lib, &reg, &search.bits, exec)
         .map_err(|e| e.to_string())?;
 
     let pre_expectation = pre.expectation(&rho);

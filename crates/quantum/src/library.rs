@@ -274,10 +274,10 @@ impl OperatorLibrary {
     /// # Errors
     ///
     /// [`LibraryError::Unknown`] or [`LibraryError::WrongKind`].
-    pub fn predicate(&self, name: &str) -> Result<CMat, LibraryError> {
+    pub fn predicate(&self, name: &str) -> Result<&CMat, LibraryError> {
         match self.get(name) {
-            Some(LibOp::Predicate(m)) => Ok(m.clone()),
-            Some(LibOp::Unitary(m)) if m.is_identity(1e-12) => Ok(m.clone()),
+            Some(LibOp::Predicate(m)) => Ok(m),
+            Some(LibOp::Unitary(m)) if m.is_identity(1e-12) => Ok(m),
             Some(other) => Err(LibraryError::WrongKind {
                 name: name.to_string(),
                 expected: "predicate",

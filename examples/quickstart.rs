@@ -17,7 +17,7 @@ fn main() {
     println!();
 
     let outcome = study.verify().expect("verification runs");
-    println!("{}", outcome.outline);
+    println!("{}", study.outline(&outcome));
     println!(
         "result     : {}",
         if outcome.status.verified() {
@@ -29,7 +29,7 @@ fn main() {
 
     // The computed weakest precondition is exactly [ψ]⊗I⊗I: the scheme is
     // not just sufficient but tight.
-    let wp = &outcome.computed_pre;
+    let wp = outcome.computed_pre();
     println!(
         "computed wp: {} predicate(s), first diagonal entry {:.3}",
         wp.len(),

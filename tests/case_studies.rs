@@ -82,7 +82,7 @@ fn e3_qwalk_partial_correctness_and_nontermination() {
     let outcome = study.verify().expect("verification runs");
     assert!(outcome.status.verified());
     // The verification condition is the full identity: {I} QWalk {0}.
-    assert!(outcome.computed_pre.ops()[0].approx_eq(&CMat::identity(4), 1e-9));
+    assert!(outcome.computed_pre().ops()[0].approx_eq(&CMat::identity(4), 1e-9));
 
     // Semantic cross-check: under bounded unrolling every output has
     // (near-)zero trace, so Exp(σ ⊨ {0}) + tr ρ − tr σ ≈ tr ρ ≥ Exp(ρ ⊨ I).
@@ -143,7 +143,7 @@ fn e6_grover_verifies_and_derives_success_probability() {
         let outcome = grover(n).verify().expect("verification runs");
         assert!(outcome.status.verified(), "n = {n}");
         // The computed wp is exactly p·I: read p back off the matrix.
-        let wp = &outcome.computed_pre;
+        let wp = outcome.computed_pre();
         assert_eq!(wp.len(), 1);
         let p_derived = wp.ops()[0][(0, 0)].re;
         assert!(

@@ -104,7 +104,7 @@ fn e4_omitted_precondition_computes_weakest_precondition() {
         .unwrap();
     let outcome = session.outcome("wp").unwrap();
     assert!(outcome.status.verified());
-    assert!(outcome.computed_pre.ops()[0].approx_eq(&nqpv::quantum::ket("+").projector(), 1e-9));
+    assert!(outcome.computed_pre().ops()[0].approx_eq(&nqpv::quantum::ket("+").projector(), 1e-9));
 }
 
 #[test]
